@@ -9,8 +9,9 @@ engine arithmetic is exact (int and Fraction); no floating point.
 from .characters import (Character, FormalCharacter, WeightPolynomial,
                          char_product, decompose, exact_divide,
                          formal_multiply, weyl_character)
-from .errors import (DatumMismatch, DegeneratePolarization, EmptyBlock,
-                     EngineError, EnumerationUnbounded, FiberIndexNotUnit,
+from .errors import (CertificateFailed, DatumMismatch,
+                     DegeneratePolarization, EmptyBlock, EngineError,
+                     EnumerationUnbounded, FiberIndexNotUnit,
                      NonIsolatedFixedPoint, NotClosed, NotDominant,
                      NotInvariant, NotOnVanishingSet, NotProper, OddFiber,
                      OrbifoldAveragingUnsupported, SecondFactorInfinite,

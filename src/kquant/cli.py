@@ -265,7 +265,9 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(_dump({"error": "ParseError", "detail": str(exc)}))
         return 1
-    except EngineError as exc:
+    except (EngineError, ArithmeticError, AssertionError, RecursionError) as exc:
+        # engine errors and internal arithmetic, certificate or depth
+        # failures are reported by their class name, never as tracebacks
         print(_dump({"error": type(exc).__name__, "detail": str(exc)}))
         return 1
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -80,3 +80,7 @@ class NotProper(EngineError):
 
 class NotOnVanishingSet(EngineError):
     """A compatibility table misses one of the vanishing components."""
+
+
+class CertificateFailed(EngineError):
+    """An internal certificate check failed, so no result is reported."""

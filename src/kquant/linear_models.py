@@ -14,7 +14,12 @@ Two independent routes compute the same invariant:
   geometric series on a window (through the localization engine);
 * reduction_multiplicity counts lattice points
   #{a in Z_{>=0}^d : sum a_j w_j + c = gamma} by bounded enumeration,
-  with bounds derived from the separating vector.
+  with bounds derived from the separating vector.  Its per-model setup
+  (Farkas vector, weight order, the integer adjugate of the independent
+  suffix that makes each search leaf one divisibility and sign test,
+  deduplicated wall normals) is built on the first call for a model and
+  kept on it; it reads no series data and shares no cache with the
+  series route.
 
 verify_qr compares them weight by weight.  vanishing_decomposition
 solves V^mu = 0 exactly: on the stratum where exactly the coordinates
@@ -30,9 +35,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub as minus
 
 from .characters import FormalCharacter, WeightPolynomial
-from .errors import NotOnVanishingSet, NotProper, WindowExhausted
+from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
+                     WindowExhausted)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
                            polarized_index)
 from .root_data import (RootDatum, build_root_datum, dominant_window, dot,
@@ -60,6 +67,10 @@ class LinearModel:
     @property
     def rank(self):
         return self.datum.rank
+
+    @functools.cached_property
+    def _counter(self) -> "_LatticeCounter":
+        return _LatticeCounter(self)
 
     def to_dict(self):
         return {"rank": self.rank,
@@ -205,7 +216,8 @@ def _separating_cached(weights, rank):
     if not any(x):
         return None, tuple(zip(used, lam))
     xi = _primitive_directed(x)
-    assert all(dot(w, xi) > 0 for w in weights), "separation certificate failed"
+    if not all(dot(w, xi) > 0 for w in weights):
+        raise CertificateFailed(f"separation certificate failed: xi = {xi}")
     return xi, None
 
 
@@ -250,7 +262,6 @@ def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:
     return out if window >= 1 else out.restrict(window)
 
 
-@functools.lru_cache(maxsize=None)
 def _wall_normals(weights, rank):
     """Integer normal systems of the walls spanned by < rank weights."""
     distinct = sorted(set(weights))
@@ -296,57 +307,6 @@ def _cramer_kit(cols, rank):
     return None
 
 
-def _solve_suffix(cols, kit, target):
-    """1 if the unique rational solution is a nonnegative integer vector."""
-    rowset, mat, det = kit
-    k = len(cols)
-    a = []
-    for i in range(k):
-        m2 = [row[:i] + [target[t]] + row[i + 1:]
-              for row, t in zip(mat, rowset)]
-        q, rem = divmod(_int_det(m2), det)
-        if rem or q < 0:
-            return 0
-        a.append(q)
-    for t in range(len(target)):
-        if sum(a[i] * cols[i][t] for i in range(k)) != target[t]:
-            return 0
-    return 1
-
-
-def _count_solutions(weights, pairings, target, budget):
-    """Number of a in Z_{>=0}^d with sum a_j weights_j = target.
-
-    Leading coefficients are enumerated with Farkas pairing bounds; the
-    longest linearly independent suffix has at most one solution, found
-    exactly by Cramer's rule, so only dependent directions are looped.
-    """
-    d = len(weights)
-    rank = len(target)
-    free = d
-    kit = _cramer_kit((), rank)
-    while free > 0:
-        nxt = _cramer_kit(weights[free - 1:], rank)
-        if nxt is None:
-            break
-        free -= 1
-        kit = nxt
-    suffix = weights[free:]
-
-    def rec(j, t, b):
-        if j == free:
-            return _solve_suffix(suffix, kit, t)
-        w, pw = weights[j], pairings[j]
-        total = 0
-        for _ in range(b // pw + 1):
-            total += rec(j + 1, t, b)
-            t = sub(t, w)
-            b -= pw
-        return total
-
-    return rec(0, target, budget)
-
-
 class ReductionCount(tuple):
     """(count, regular) with named access."""
 
@@ -362,32 +322,99 @@ class ReductionCount(tuple):
         return self[1]
 
 
+class _LatticeCounter:
+    """Per-model setup of the counting route; see reduction_multiplicity.
+
+    The weights are sorted by decreasing Farkas pairing.  The longest
+    linearly independent suffix of that order has at most one solution
+    a for a remainder y, by Cramer's rule on a square row choice with
+    determinant det > 0: det * a = adj * y[rows], and the rows left out
+    must satisfy det * y[r] = sum_i (det * a_i) w_i[r].  Both are linear
+    in y, so `leaf` stacks them into one integer matrix.  The search
+    carries leaf * y and steps it by leaf * w_j for the leading weights,
+    so a leaf only checks that the first k entries are nonnegative
+    multiples of det and the rest are zero.  Walls are bit sets over one
+    deduplicated list of normals, so regularity takes one dot product
+    per distinct normal.
+    """
+
+    def __init__(self, m: LinearModel):
+        rank = m.rank
+        self.xi = xi = farkas_vector(m)
+        ws = sorted(m.weights, key=lambda w: -dot(w, xi))
+        free = len(ws)
+        kit = _cramer_kit((), rank)
+        while free > 0:
+            nxt = _cramer_kit(ws[free - 1:], rank)
+            if nxt is None:
+                break
+            free -= 1
+            kit = nxt
+        rows, mat, det = kit
+        suffix = ws[free:]
+        sign = 1 if det > 0 else -1
+        self.det = det * sign
+        self.k = len(suffix)
+        leaf = []
+        for i in range(self.k):
+            # row i of sign * adj(mat): Cramer's rule on the unit columns
+            adj = [sign * _int_det([row[:i] + [int(s == t)] + row[i + 1:]
+                                    for s, row in enumerate(mat)])
+                   for t in range(self.k)]
+            leaf.append(tuple(adj[rows.index(c)] if c in rows else 0
+                              for c in range(rank)))
+        leaf += [tuple(self.det * (c == r) - sum(n[c] * w[r] for n, w in zip(leaf, suffix))
+                       for c in range(rank))
+                 for r in range(rank) if r not in rows]
+        self.leaf = leaf
+        self.steps = [(tuple(dot(row, w) for row in leaf), dot(w, xi))
+                      for w in ws[:free]]
+        walls = _wall_normals(m.weights, rank)
+        self.normals = sorted({nrm for wall in walls for nrm in wall})
+        bit = {nrm: 1 << i for i, nrm in enumerate(self.normals)}
+        self.walls = [sum(bit[nrm] for nrm in wall) for wall in walls]
+
+    def count(self, target) -> ReductionCount:
+        budget = sum(map(mul, target, self.xi))
+        total = 0
+        if budget >= 0:
+            y = tuple(sum(map(mul, row, target)) for row in self.leaf)
+            total = self._search(0, y, budget)
+        zero = 0
+        for i, nrm in enumerate(self.normals):
+            if not sum(map(mul, nrm, target)):
+                zero |= 1 << i
+        regular = not any(wall & zero == wall for wall in self.walls)
+        return ReductionCount(total, regular)
+
+    def _search(self, j, y, b):
+        if j == len(self.steps):
+            k, det = self.k, self.det
+            return int(all(v >= 0 and v % det == 0 for v in y[:k])
+                       and not any(y[k:]))
+        step, pw = self.steps[j]
+        total = 0
+        for _ in range(b // pw + 1):
+            total += self._search(j + 1, y, b)
+            y = tuple(map(minus, y, step))
+            b -= pw
+        return total
+
+
 def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
     """Lattice count of mu^{-1}(gamma) data, with a regularity flag.
 
     Counts #{a in Z_{>=0}^d : sum a_j w_j + c = gamma} by depth-first
     enumeration bounded through the Farkas vector: a_j <= <gamma-c, xi>
-    / <w_j, xi>.  gamma is regular iff gamma - c avoids every wall
-    spanned by fewer than rank weights.
+    / <w_j, xi>.  Only the leading weights that depend on the longest
+    independent suffix are looped; the suffix is solved exactly.  gamma
+    is regular iff gamma - c avoids every wall spanned by fewer than
+    rank weights.  The per-model setup (Farkas vector, weight order,
+    suffix adjugate, wall normals) is built on the first call for a
+    model and kept on it.
     """
     gamma = m.datum.check_weight(gamma)
-    xi = farkas_vector(m)
-    target = sub(gamma, m.shift)
-    budget = dot(target, xi)
-    if budget < 0:
-        count = 0
-    else:
-        order = sorted(range(len(m.weights)),
-                       key=lambda j: -dot(m.weights[j], xi))
-        ws = [m.weights[j] for j in order]
-        ps = [dot(w, xi) for w in ws]
-        count = _count_solutions(ws, ps, target, budget)
-    regular = True
-    for normals in _wall_normals(m.weights, m.rank):
-        if all(dot(target, nrm) == 0 for nrm in normals):
-            regular = False
-            break
-    return ReductionCount(count, regular)
+    return m._counter.count(sub(gamma, m.shift))
 
 
 # ------------------------------------------------------------- vanishing

@@ -366,17 +366,19 @@ def _int_nullspace(vectors, rank):
     return basis
 
 
-def _window_guards(dirs, needed, rank):
+def _window_guards(dirs, needed, rank, box=None):
     """Linear guards that certified window terms can never violate.
 
     A partial product term u can still contribute to a reported weight
     only if some gamma in `needed` differs from u by a nonnegative
     combination of the remaining series directions.  Any functional phi
     that is nonnegative on those directions therefore forces <u, phi> <=
-    max over needed of <gamma, phi>.  Candidates come from hyperplanes
-    spanned by direction subsets, from the annihilator of the whole
-    direction span, and from coordinate functionals; validity against a
-    concrete suffix is re-checked by the caller before use.
+    max over needed of <gamma, phi>.  When `needed` is the torus box
+    [-box, box]^r that maximum is box * sum |phi_i| in closed form, the
+    same value as the scan over the box.  Candidates come from
+    hyperplanes spanned by direction subsets, from the annihilator of
+    the whole direction span, and from coordinate functionals; validity
+    against a concrete suffix is re-checked by the caller before use.
     """
     cands = set()
     uniq = sorted(set(dirs))
@@ -394,17 +396,17 @@ def _window_guards(dirs, needed, rank):
         cands.add(e)
         cands.add(neg(e))
     cands.discard(tuple([0] * rank))
+    if box is not None:
+        return [(phi, box * sum(map(abs, phi))) for phi in sorted(cands)]
     return [(phi, max(dot(v, phi) for v in needed)) for phi in sorted(cands)]
 
 
-_PRUNE_THRESHOLD = 4096
-
-
-def _expand_point(p: FixedPointDatum, xi, maxpair, needed=None):
+def _expand_point(p: FixedPointDatum, xi, maxpair, needed=None, box=None):
     """Polarized series of one fixed point, exact below the pairing cap.
 
     Returns (terms, low): the series terms with pairing <= maxpair,
-    restricted to the weights in `needed` when that set is given, and a
+    restricted to the weights in `needed` when that set is given (box,
+    when given, says that `needed` is the torus box [-box, box]^r), and a
     lower bound valid for the pairing of every term of the full series:
     the minimal fiber pairing plus one mandatory step from each factor
     whose geometric series starts at k = 1.  Terms are kept as packed
@@ -450,7 +452,7 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed=None):
         return tuple(coords)
 
     dirs = [neg(w) if pw < 0 else w for w, pw in steps]
-    guards = _window_guards(dirs, needed, rank) if needed else []
+    guards = _window_guards(dirs, needed, rank, box) if needed else []
     needed_packed = {pack(v) for v in needed} if needed is not None else None
 
     cur = {}
@@ -462,50 +464,44 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed=None):
             return {}, low
         last = j == nfac - 1
         stride = pack(dirs[j])
-        if pw < 0:
-            # (1 - t^{-w})^{-1} = sum_{k>=0} t^{-kw}, pairing step -pw > 0
-            factor = [(k * stride, 1) for k in range(budget0 // -pw + 1)]
-        else:
-            # (1 - t^{-w})^{-1} = -t^w (1 - t^w)^{-1} = -sum_{k>=1} t^{kw}
-            factor = [(k * stride, -1) for k in range(1, budget0 // pw + 1)]
+        # (1 - t^{-w})^{-1} = sum_{k>=0} t^{-kw} when pw < 0, and
+        # -t^w (1 - t^w)^{-1} = -sum_{k>=1} t^{kw} when pw > 0: either way
+        # step k adds k * dirs[j], whose pairing |pw| is positive
+        k0, sign = (0, 1) if pw < 0 else (1, -1)
+        kmax = budget0 // abs(pw)
+        # guards nonnegative on the remaining directions cut each term's
+        # range of k before the term is built, not after
+        rest = dirs[j + 1:]
+        active = [(phi, b, dot(dirs[j], phi)) for phi, b in guards
+                  if not last and all(dot(d, phi) >= 0 for d in rest)]
+        keep = needed_packed if last else None
         nxt = {}
         get = nxt.get
-        if last and needed_packed is not None:
-            for vp, c in cur.items():
-                for ep, s in factor:
-                    u = vp + ep
-                    if u > cap:
-                        break
-                    if u not in needed_packed:
-                        continue
-                    cc = get(u, 0) + (c if s > 0 else -c)
-                    if cc:
-                        nxt[u] = cc
-                    else:
-                        del nxt[u]
-        else:
-            for vp, c in cur.items():
-                for ep, s in factor:
-                    u = vp + ep
-                    if u > cap:
-                        break
-                    cc = get(u, 0) + (c if s > 0 else -c)
-                    if cc:
-                        nxt[u] = cc
-                    else:
-                        del nxt[u]
-        cur = nxt
-        if not last and guards and len(cur) > _PRUNE_THRESHOLD:
-            rest = dirs[j + 1:]
-            active = [(phi, b) for phi, b in guards
-                      if all(dot(d, phi) >= 0 for d in rest)]
+        for vp, c in cur.items():
+            lo, hi = k0, kmax
             if active:
-                kept = {}
-                for u, c in cur.items():
-                    v = unpack(u)
-                    if all(dot(v, phi) <= b for phi, b in active):
-                        kept[u] = c
-                cur = kept
+                v = unpack(vp)
+                for phi, b, step in active:
+                    room = b - dot(v, phi)
+                    if step > 0:
+                        hi = min(hi, room // step)
+                    elif step < 0:
+                        lo = max(lo, -(room // -step))
+                    elif room < 0:
+                        hi = -1
+            c *= sign
+            u = vp + lo * stride
+            for _ in range(lo, hi + 1):
+                if u > cap:
+                    break
+                if keep is None or u in keep:
+                    cc = get(u, 0) + c
+                    if cc:
+                        nxt[u] = cc
+                    else:
+                        del nxt[u]
+                u += stride
+        cur = nxt
     m = p.orbifold_order
     out = {}
     for u, c in cur.items():
@@ -535,6 +531,7 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
         raise ValueError(f"polarization rank {len(xi)} != datum rank {k.datum.rank}")
     datum = k.datum
     needed, plan = _extraction_points(datum, window)
+    box = window if datum.is_torus else None
     maxpair = max(dot(v, xi) for v in needed)
     acc = {}
     lows = []
@@ -544,7 +541,7 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
                 raise OrbifoldAveragingUnsupported(
                     "orbifold averaging outside a torus lattice is not expressible")
         for p in comp.fixed_points:
-            terms, low = _expand_point(p, xi, maxpair, needed)
+            terms, low = _expand_point(p, xi, maxpair, needed, box)
             if low is not None:
                 lows.append(low)
             for v, c in terms.items():

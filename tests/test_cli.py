@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import kquant as kq
+import kquant.cli
 from kquant.cli import main
 from helpers import T1
 
@@ -155,6 +156,19 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     status, out = run(capsys, "index", str(path))
     assert status == 1
     assert json.loads(out)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),
+                                 AssertionError("internal check"),
+                                 RecursionError("too deep")])
+def test_internal_failures_are_error_objects(files, capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc
+    monkeypatch.setitem(kquant.cli._HANDLERS, "reduce", boom)
+    path = files("m.json", {"rank": 1, "weights": [[1]], "shift": [0]})
+    status, out = run(capsys, "reduce", path, "--gamma", "1")
+    assert status == 1
+    assert json.loads(out) == {"error": type(exc).__name__, "detail": str(exc)}
 
 
 def test_missing_file_is_input_error(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -125,6 +126,73 @@ def test_reduction_counts_partitions():
     expected = {0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 4}
     for n, c in expected.items():
         assert kq.reduction_multiplicity(m, (n,)).count == c
+
+
+def _exact_rank(vectors):
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _naive_reduction(m, window):
+    """{gamma: (count, regular)} on the window box, by brute force."""
+    xi = kq.farkas_vector(m)
+    pairs = [sum(a * b for a, b in zip(w, xi)) for w in m.weights]
+    assert min(pairs) >= 1  # so the box below holds every solution
+    box = list(kq.dominant_window(m.datum, window))
+    top = max(sum((g - c) * x for g, c, x in zip(gamma, m.shift, xi))
+              for gamma in box)
+    counts = {}
+    if top >= 0:
+        grid = np.indices([top // p + 1 for p in pairs]).reshape(len(pairs), -1).T
+        pts = grid @ np.array(m.weights) + np.array(m.shift)
+        for pt in map(tuple, pts[np.abs(pts).max(axis=1) <= window].tolist()):
+            counts[pt] = counts.get(pt, 0) + 1
+    out = {}
+    for gamma in box:
+        target = [g - c for g, c in zip(gamma, m.shift)]
+        on_wall = any(
+            _exact_rank(list(sub) + [target]) == _exact_rank(list(sub))
+            for size in range(m.rank)
+            for sub in itertools.combinations(m.weights, size))
+        out[gamma] = (counts.get(gamma, 0), not on_wall)
+    return out
+
+
+def test_reduction_matches_naive_enumeration():
+    rng = random.Random(41)
+    for _ in range(30):
+        m = random_proper_model(rng, max_d=4, max_r=3, entry=2)
+        expected = _naive_reduction(m, 3)
+        got = {g: tuple(kq.reduction_multiplicity(m, g)) for g in expected}
+        assert got == expected, m.to_dict()
+
+
+def test_separation_certificate_is_a_typed_error(monkeypatch):
+    from kquant import linear_models as lm
+
+    weights = ((5, 7), (7, 5))
+    bad = (Fraction(-1), Fraction(0))
+    monkeypatch.setattr(lm, "_min_norm_in_hull",
+                        lambda points, rank: (bad, [weights[0]], [Fraction(1)]))
+    lm._separating_cached.cache_clear()
+    try:
+        m = kq.linear_model(weights, (0, 0))
+        with pytest.raises(kq.CertificateFailed):
+            kq.farkas_vector(m)
+        with pytest.raises(kq.EngineError):
+            kq.reduction_multiplicity(m, (1, 1))
+    finally:
+        lm._separating_cached.cache_clear()
 
 
 def test_verify_qr_examples():

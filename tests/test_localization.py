@@ -215,3 +215,18 @@ def test_family_serialization_materializes():
     d = fam.to_dict()
     assert d["enumeration_bound"] == 4
     assert len(d["components"]) == 5
+
+
+def test_torus_guard_bound_is_the_box_maximum():
+    from kquant.localization import _window_guards
+
+    rng = random.Random(43)
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        window = rng.randint(0, 4)
+        dirs = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(1, 4))]
+        dirs = [d for d in dirs if any(d)] or [(1,) * rank]
+        box = set(kq.dominant_window(kq.build_root_datum("torus", rank), window))
+        # the generic path takes max <v, phi> over every v in the box
+        assert _window_guards(dirs, box, rank, window) == _window_guards(dirs, box, rank)
