@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import NotDominant, NotInvariant, WindowExhausted
-from .root_data import (RootDatum, add, as_weight, dominant_window,
-                        is_dominant, neg, signed_orbit_with_images,
-                        simple_reflection, sub, sup_norm)
+from .errors import CertificateFailed, NotDominant, NotInvariant, WindowExhausted
+from .root_data import (RootDatum, add, as_weight, is_dominant,
+                        signed_orbit_with_images, simple_reflection, sub, sup_norm)
 
 
 class WeightPolynomial:
@@ -225,7 +223,8 @@ def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
     Repeatedly strips the maximal dominant term, where maximal means
     largest sum of pairings with the simple coroots (the coordinate sum
     in the fundamental basis), ties broken lexicographically.  Raises
-    NotInvariant when the input is not a virtual character.
+    NotInvariant when the input is not a virtual character, and
+    CertificateFailed when 10,000 strips leave a remainder.
     """
     _check_invariant(datum, p)
     mults = {}
@@ -233,7 +232,8 @@ def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
     guard = 0
     while rem:
         guard += 1
-        assert guard <= 10_000, "decomposition did not terminate"
+        if guard > 10_000:
+            raise CertificateFailed("decomposition did not terminate")
         dom = [w for w in rem.terms if is_dominant(datum, w)]
         if not dom:
             raise NotInvariant("nonzero invariant polynomial with no dominant term")
@@ -363,21 +363,19 @@ class FormalCharacter:
         return FormalCharacter(self.datum, window, kept, self.support_certificate)
 
     def agrees_with(self, other: "FormalCharacter") -> bool:
-        """Equality of multiplicities over the shared window."""
+        """Equality of multiplicities over the shared window, key by stored key."""
         if self.datum != other.datum:
             return False
         b = min(self.window, other.window)
-        for w in dominant_window(self.datum, b):
-            if self.coeffs.get(w, 0) != other.coeffs.get(w, 0):
-                return False
-        return True
+        keys = {w for w in (*self.coeffs, *other.coeffs) if sup_norm(w) <= b}
+        return all(self.coeffs.get(w, 0) == other.coeffs.get(w, 0) for w in keys)
 
     def __add__(self, other):
         if self.datum != other.datum:
             raise ValueError("datum mismatch")
         b = min(self.window, other.window)
         out = {}
-        for w in dominant_window(self.datum, b):
+        for w in sorted({w for w in (*self.coeffs, *other.coeffs) if sup_norm(w) <= b}):
             m = self.coeffs.get(w, 0) + other.coeffs.get(w, 0)
             if m:
                 out[w] = m

@@ -17,9 +17,10 @@ Two independent routes compute the same invariant:
   with bounds derived from the separating vector.  Its per-model setup
   (Farkas vector, weight order, the integer adjugate of the independent
   suffix that makes each search leaf one divisibility and sign test,
-  deduplicated wall normals) is built on the first call for a model and
-  kept on it; it reads no series data and shares no cache with the
-  series route.
+  the normals of the maximal walls) is built on the first call for a
+  model and kept on it; it reads no series data and shares no cache
+  with the series route.  The separation result behind check_proper and
+  farkas_vector is kept on the model too, so it dies with the model.
 
 verify_qr compares them weight by weight.  vanishing_decomposition
 solves V^mu = 0 exactly: on the stratum where exactly the coordinates
@@ -36,14 +37,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub as minus
+from typing import NamedTuple
 
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
                      WindowExhausted)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
-                           polarized_index)
+                           normalize_polarization, polarized_index)
 from .root_data import (RootDatum, build_root_datum, dominant_window, dot,
-                        neg, scale, sub)
+                        neg, sub)
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,19 @@ class LinearModel:
     @property
     def rank(self):
         return self.datum.rank
+
+    @functools.cached_property
+    def _separation(self):
+        """(primitive integer xi, None) if separable, else (None, witness)."""
+        if not self.weights:
+            return (1,) * self.rank, None
+        x, used, lam = _min_norm_in_hull(self.weights, self.rank)
+        if not any(x):
+            return None, tuple(zip(used, lam))
+        xi = normalize_polarization(x)
+        if not all(dot(w, xi) > 0 for w in self.weights):
+            raise CertificateFailed(f"separation certificate failed: xi = {xi}")
+        return xi, None
 
     @functools.cached_property
     def _counter(self) -> "_LatticeCounter":
@@ -133,26 +148,9 @@ def _rref(rows, width):
     return mat[:r], pivots
 
 
-def _primitive_directed(vec):
-    """Clear denominators and common factors, keeping the direction."""
-    import math
-
-    fr = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fr:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fr]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 def _primitive(vec):
     """Clear denominators and common factors; first nonzero entry > 0."""
-    ints = _primitive_directed(vec)
+    ints = normalize_polarization(vec)
     lead = next((v for v in ints if v), 0)
     if lead < 0:
         ints = tuple(-v for v in ints)
@@ -207,23 +205,9 @@ def _min_norm_in_hull(points, rank):
     return x, used, lam
 
 
-@functools.lru_cache(maxsize=None)
-def _separating_cached(weights, rank):
-    """(primitive integer xi, None) if separable, else (None, witness)."""
-    if not weights:
-        return (1,) * rank, None
-    x, used, lam = _min_norm_in_hull(weights, rank)
-    if not any(x):
-        return None, tuple(zip(used, lam))
-    xi = _primitive_directed(x)
-    if not all(dot(w, xi) > 0 for w in weights):
-        raise CertificateFailed(f"separation certificate failed: xi = {xi}")
-    return xi, None
-
-
 def check_proper(m: LinearModel) -> bool:
     """True iff all action weights lie in an open half space."""
-    return _separating_cached(m.weights, m.rank)[0] is not None
+    return m._separation[0] is not None
 
 
 def farkas_vector(m: LinearModel) -> tuple:
@@ -232,7 +216,7 @@ def farkas_vector(m: LinearModel) -> tuple:
     Raises NotProper with an explicit nonnegative combination of the
     weights equal to zero when no such vector exists.
     """
-    xi, witness = _separating_cached(m.weights, m.rank)
+    xi, witness = m._separation
     if xi is None:
         combo = " + ".join(
             f"{l}*({','.join(str(x) for x in w)})" for w, l in witness if l)
@@ -263,13 +247,16 @@ def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:
 
 
 def _wall_normals(weights, rank):
-    """Integer normal systems of the walls spanned by < rank weights."""
+    """Integer normal systems of the maximal walls spanned by < rank weights.
+
+    Maximal walls: subsets of size min(d, rank-1) of the d distinct
+    weights.  A smaller subset spans a wall inside one of these, so the
+    union of the walls, and with it the regular flag, is unchanged.
+    """
     distinct = sorted(set(weights))
     walls = {}
-    for size in range(0, rank):
-        for subset in itertools.combinations(distinct, size):
-            normals = tuple(sorted(_nullspace_int(subset, rank)))
-            walls[normals] = True
+    for subset in itertools.combinations(distinct, min(len(distinct), rank - 1)):
+        walls[tuple(sorted(_nullspace_int(subset, rank)))] = True
     return list(walls)
 
 
@@ -307,19 +294,11 @@ def _cramer_kit(cols, rank):
     return None
 
 
-class ReductionCount(tuple):
+class ReductionCount(NamedTuple):
     """(count, regular) with named access."""
 
-    def __new__(cls, count, regular):
-        return super().__new__(cls, (count, regular))
-
-    @property
-    def count(self):
-        return self[0]
-
-    @property
-    def regular(self):
-        return self[1]
+    count: int
+    regular: bool
 
 
 class _LatticeCounter:
@@ -333,9 +312,9 @@ class _LatticeCounter:
     in y, so `leaf` stacks them into one integer matrix.  The search
     carries leaf * y and steps it by leaf * w_j for the leading weights,
     so a leaf only checks that the first k entries are nonnegative
-    multiples of det and the rest are zero.  Walls are bit sets over one
-    deduplicated list of normals, so regularity takes one dot product
-    per distinct normal.
+    multiples of det and the rest are zero (with no leading weights that
+    test is the whole count).  Only the few maximal walls are kept, so
+    regularity tests each wall's normals directly.
     """
 
     def __init__(self, m: LinearModel):
@@ -369,33 +348,36 @@ class _LatticeCounter:
         self.leaf = leaf
         self.steps = [(tuple(dot(row, w) for row in leaf), dot(w, xi))
                       for w in ws[:free]]
-        walls = _wall_normals(m.weights, rank)
-        self.normals = sorted({nrm for wall in walls for nrm in wall})
-        bit = {nrm: 1 << i for i, nrm in enumerate(self.normals)}
-        self.walls = [sum(bit[nrm] for nrm in wall) for wall in walls]
+        self.walls = _wall_normals(m.weights, rank)
 
     def count(self, target) -> ReductionCount:
         budget = sum(map(mul, target, self.xi))
         total = 0
         if budget >= 0:
             y = tuple(sum(map(mul, row, target)) for row in self.leaf)
-            total = self._search(0, y, budget)
-        zero = 0
-        for i, nrm in enumerate(self.normals):
-            if not sum(map(mul, nrm, target)):
-                zero |= 1 << i
-        regular = not any(wall & zero == wall for wall in self.walls)
+            total = self._search(0, y, budget) if self.steps else self._leaf(y)
+        # regular iff every wall has a normal that target does not annihilate
+        regular = True
+        for wall in self.walls:
+            for nrm in wall:
+                if sum(map(mul, nrm, target)):
+                    break
+            else:
+                regular = False
+                break
         return ReductionCount(total, regular)
 
+    def _leaf(self, y):
+        head = y[:self.k]
+        return int(not any(y[self.k:]) and min(head, default=0) >= 0
+                   and not any(map(self.det.__rmod__, head)))
+
     def _search(self, j, y, b):
-        if j == len(self.steps):
-            k, det = self.k, self.det
-            return int(all(v >= 0 and v % det == 0 for v in y[:k])
-                       and not any(y[k:]))
         step, pw = self.steps[j]
+        deeper = j + 1 < len(self.steps)
         total = 0
         for _ in range(b // pw + 1):
-            total += self._search(j + 1, y, b)
+            total += self._search(j + 1, y, b) if deeper else self._leaf(y)
             y = tuple(map(minus, y, step))
             b -= pw
         return total
@@ -409,9 +391,9 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
     / <w_j, xi>.  Only the leading weights that depend on the longest
     independent suffix are looped; the suffix is solved exactly.  gamma
     is regular iff gamma - c avoids every wall spanned by fewer than
-    rank weights.  The per-model setup (Farkas vector, weight order,
-    suffix adjugate, wall normals) is built on the first call for a
-    model and kept on it.
+    rank weights, which it tests on the maximal walls only.  The
+    per-model setup (Farkas vector, weight order, suffix adjugate, wall
+    normals) is built on the first call for a model and kept on it.
     """
     gamma = m.datum.check_weight(gamma)
     return m._counter.count(sub(gamma, m.shift))
@@ -526,7 +508,8 @@ def vanishing_decomposition(m: LinearModel):
         members = sorted(members, key=lambda s: (len(s), s))
         union = tuple(sorted(set().union(*[set(s) for s in members]) or set()))
         mus = {strata[s][1] for s in members}
-        assert len(mus) == 1, "glued strata disagree on the mu value"
+        if len(mus) != 1:
+            raise CertificateFailed(f"glued strata {members} disagree on the mu value")
         rows = [m.weights[j] for j in union]
         basis = tuple(_nullspace_int(rows, m.rank))
         out.append(VanishingComponent(

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import FormalCharacter, WeightPolynomial, decompose, exact_divide
-from .errors import (DatumMismatch, DegeneratePolarization,
-                     EnumerationUnbounded, NonIsolatedFixedPoint, NotClosed,
+from .characters import FormalCharacter, WeightPolynomial, exact_divide
+from .errors import (DegeneratePolarization, EnumerationUnbounded,
+                     NonIsolatedFixedPoint, NotClosed,
                      OrbifoldAveragingUnsupported, WindowExhausted)
 from .root_data import (RootDatum, add, as_weight, dominant_window, dot, neg,
                         scale, signed_orbit_with_images, sub, sup_norm)
@@ -306,21 +306,16 @@ def auto_polarization(k: DiscreteKCycle) -> tuple:
 
 
 def _extraction_points(datum: RootDatum, window: int):
-    """Weight-level points needed to report the window, with extractors.
+    """Weight-level points needed to report a type A window, with extractors.
 
     Returns (needed, plan) where plan maps each dominant window weight
     lam to a list of (point, sign) pairs such that the irreducible
-    multiplicity of lam is sum of sign * coefficient(point).  For a
-    torus the plan is the identity; for type A it is the alternating
-    sum over w(lam+rho)-rho, which inverts the character formula.
+    multiplicity of lam is sum of sign * coefficient(point): the
+    alternating sum over w(lam+rho)-rho, which inverts the character
+    formula.  A torus needs no plan; its window is the box itself.
     """
     plan = {}
     needed = set()
-    if datum.is_torus:
-        for lam in dominant_window(datum, window):
-            plan[lam] = [(lam, 1)]
-            needed.add(lam)
-        return needed, plan
     for lam in dominant_window(datum, window):
         rows = []
         for img, sgn, _ in signed_orbit_with_images(datum, add(lam, datum.rho)):
@@ -373,9 +368,9 @@ def _window_guards(dirs, needed, rank, box=None):
     only if some gamma in `needed` differs from u by a nonnegative
     combination of the remaining series directions.  Any functional phi
     that is nonnegative on those directions therefore forces <u, phi> <=
-    max over needed of <gamma, phi>.  When `needed` is the torus box
-    [-box, box]^r that maximum is box * sum |phi_i| in closed form, the
-    same value as the scan over the box.  Candidates come from
+    max over needed of <gamma, phi>.  When box is given, `needed` is the
+    torus box [-box, box]^r and is not read: that maximum is box * sum
+    |phi_i| in closed form, the value of the scan.  Candidates come from
     hyperplanes spanned by direction subsets, from the annihilator of
     the whole direction span, and from coordinate functionals; validity
     against a concrete suffix is re-checked by the caller before use.
@@ -401,18 +396,20 @@ def _window_guards(dirs, needed, rank, box=None):
     return [(phi, max(dot(v, phi) for v in needed)) for phi in sorted(cands)]
 
 
-def _expand_point(p: FixedPointDatum, xi, maxpair, needed=None, box=None):
+def _expand_point(p: FixedPointDatum, xi, maxpair, needed, box):
     """Polarized series of one fixed point, exact below the pairing cap.
 
-    Returns (terms, low): the series terms with pairing <= maxpair,
-    restricted to the weights in `needed` when that set is given (box,
-    when given, says that `needed` is the torus box [-box, box]^r), and a
-    lower bound valid for the pairing of every term of the full series:
-    the minimal fiber pairing plus one mandatory step from each factor
-    whose geometric series starts at k = 1.  Terms are kept as packed
-    integers internally; a weight and its pairing occupy disjoint digit
-    blocks, so vector addition is plain int addition and the pairing
-    cap is a single comparison.
+    Returns (terms, low): the series terms with pairing <= maxpair that
+    lie in the torus box [-box, box]^r when box is given, or in the set
+    `needed` otherwise, and a lower bound valid for the pairing of every
+    term of the full series: the minimal fiber pairing plus one
+    mandatory step from each factor whose geometric series starts at
+    k = 1.  The box is never enumerated: on the last factor its
+    coordinate guards (+-e_t, bound box) cut each term's range of k to
+    exactly the box, and a point without tangent weights has its fiber
+    cut directly.  Terms are kept as packed integers internally; a weight
+    and its pairing occupy disjoint digit blocks, so vector addition is
+    plain int addition and the pairing cap is a single comparison.
     """
     rank = len(xi)
     fiber = p.fiber_character.terms
@@ -428,9 +425,12 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed=None, box=None):
     budget0 = maxpair - fmin
     if budget0 < 0:
         return {}, low
-    # digit capacity: every coordinate a partial term can ever reach
+    if box is not None and not steps:
+        fiber = {v: c for v, c in fiber.items() if sup_norm(v) <= box}
+    # digit capacity: every coordinate a partial term or packed point
+    # of `needed` can reach (the box is never packed)
     big = max((abs(c) for v in fiber for c in v), default=0)
-    if needed:
+    if box is None:
         big = max(big, max(abs(c) for v in needed for c in v))
     growth = sum((budget0 // abs(pw)) * max(abs(c) for c in w)
                  for w, pw in steps)
@@ -452,8 +452,8 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed=None, box=None):
         return tuple(coords)
 
     dirs = [neg(w) if pw < 0 else w for w, pw in steps]
-    guards = _window_guards(dirs, needed, rank, box) if needed else []
-    needed_packed = {pack(v) for v in needed} if needed is not None else None
+    guards = _window_guards(dirs, needed, rank, box)
+    needed_packed = {pack(v) for v in needed} if box is None else None
 
     cur = {}
     for v, c in fiber.items():
@@ -470,11 +470,15 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed=None, box=None):
         k0, sign = (0, 1) if pw < 0 else (1, -1)
         kmax = budget0 // abs(pw)
         # guards nonnegative on the remaining directions cut each term's
-        # range of k before the term is built, not after
+        # range of k before the term is built, not after.  On the last
+        # factor every guard is valid, and the coordinate guards alone cut
+        # k to exactly the torus box (no other guard cuts a box point);
+        # type A filters by the set `needed` there instead
+        keep = needed_packed if last else None
         rest = dirs[j + 1:]
         active = [(phi, b, dot(dirs[j], phi)) for phi, b in guards
-                  if not last and all(dot(d, phi) >= 0 for d in rest)]
-        keep = needed_packed if last else None
+                  if keep is None and all(dot(d, phi) >= 0 for d in rest)
+                  and not (last and phi.count(0) < rank - 1)]
         nxt = {}
         get = nxt.get
         for vp, c in cur.items():
@@ -521,6 +525,9 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
     since every remaining factor only adds nonnegative pairing, pruning
     never loses a contribution.  The result reports irreducible
     multiplicities for every dominant weight of sup-norm <= window.
+    For a torus the window is the box [-window, window]^r: its largest
+    pairing is window * sum |xi_i|, and the terms cut to it are the
+    multiplicities.  Type A reads them off an extraction plan.
     """
     if window <= 0:
         raise WindowExhausted(f"window must be >= 1, got {window}")
@@ -530,9 +537,13 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
     if len(xi) != k.datum.rank:
         raise ValueError(f"polarization rank {len(xi)} != datum rank {k.datum.rank}")
     datum = k.datum
-    needed, plan = _extraction_points(datum, window)
-    box = window if datum.is_torus else None
-    maxpair = max(dot(v, xi) for v in needed)
+    if datum.is_torus:
+        needed, box = None, window
+        maxpair = window * sum(map(abs, xi))
+    else:
+        needed, plan = _extraction_points(datum, window)
+        box = None
+        maxpair = max(dot(v, xi) for v in needed)
     acc = {}
     lows = []
     for sign, comp in k.iter_certified(xi, maxpair):
@@ -542,19 +553,20 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
                     "orbifold averaging outside a torus lattice is not expressible")
         for p in comp.fixed_points:
             terms, low = _expand_point(p, xi, maxpair, needed, box)
-            if low is not None:
-                lows.append(low)
+            lows.append(low)
             for v, c in terms.items():
                 cc = acc.get(v, 0) + sign * c
                 if cc:
                     acc[v] = cc
                 else:
                     del acc[v]
-    coeffs = {}
-    for lam, rows in plan.items():
-        m = sum(sgn * acc.get(pt, 0) for pt, sgn in rows)
-        if m:
-            coeffs[lam] = m
+    coeffs = acc
+    if not datum.is_torus:
+        coeffs = {}
+        for lam, rows in plan.items():
+            m = sum(sgn * acc.get(pt, 0) for pt, sgn in rows)
+            if m:
+                coeffs[lam] = m
     lowbound = min(lows, default=Fraction(0))
     return FormalCharacter(datum, window, coeffs,
                            support_certificate=(tuple(xi), lowbound))

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import FormalCharacter, WeightPolynomial
-from .errors import (DatumMismatch, EmptyBlock, FiberIndexNotUnit, OddFiber,
-                     OrbifoldAveragingUnsupported, SecondFactorInfinite,
-                     UnsupportedSplit)
+from .errors import (CertificateFailed, DatumMismatch, EmptyBlock,
+                     FiberIndexNotUnit, OddFiber, OrbifoldAveragingUnsupported,
+                     SecondFactorInfinite, UnsupportedSplit)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
                            closed_index, closed_sum, point, polarized_index)
 from .root_data import add, build_root_datum, neg, sub, sup_norm
@@ -114,7 +114,8 @@ def glue_split(component: ClosedComponent, blocks, datum) -> tuple:
     by a cap whose constant fiber weight copies the fiber exponent L at
     the +w point (the -w side cap) or L - w (the +w side cap), which
     makes the pair of caps cancel exactly.  The identity
-    index(piece1) + index(piece2) == index(component) is asserted.
+    index(piece1) + index(piece2) == index(component) is checked, and
+    CertificateFailed is raised when it does not hold.
     """
     pts = component.fixed_points
     b0, b1 = [list(b) for b in blocks]
@@ -148,7 +149,8 @@ def glue_split(component: ClosedComponent, blocks, datum) -> tuple:
 
     p0, p1 = piece(b0), piece(b1)
     check = closed_index(p0, datum) + closed_index(p1, datum)
-    assert check == total, "split pieces do not sum to the closed index"
+    if check != total:
+        raise CertificateFailed("split pieces do not sum to the closed index")
     return (DiscreteKCycle(datum, ((1, p0),)), DiscreteKCycle(datum, ((1, p1),)))
 
 

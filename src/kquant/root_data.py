@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotDominant, UnsupportedKind
+from .errors import CertificateFailed, NotDominant, UnsupportedKind
 
 Weight = tuple
 
@@ -171,8 +171,8 @@ def signed_orbit_with_images(datum: RootDatum, anchor, extras=()):
     Returns a list of (anchor_image, sign, extra_images) triples, one per
     Weyl group element, where extra_images tracks how each weight in
     `extras` transforms alongside the anchor.  The anchor must have a
-    free orbit (be regular), otherwise signs would be ill defined; this
-    is asserted.
+    free orbit (be regular), otherwise signs would be ill defined; a
+    singular anchor raises CertificateFailed.
     """
     anchor = datum.check_weight(anchor)
     extras = tuple(datum.check_weight(e) for e in extras)
@@ -187,7 +187,8 @@ def signed_orbit_with_images(datum: RootDatum, anchor, extras=()):
             for i in range(datum.rank):
                 a2 = simple_reflection(datum, i, a)
                 if a2 in seen:
-                    assert seen[a2][1] == -s, "anchor is not regular"
+                    if seen[a2][1] != -s:
+                        raise CertificateFailed(f"anchor {anchor} is not regular")
                     continue
                 st = (a2, -s, tuple(simple_reflection(datum, i, e) for e in ex))
                 seen[a2] = st
@@ -242,7 +243,8 @@ def weyl_dimension(datum: RootDatum, lam) -> int:
     lam_rho = add(lam, datum.rho)
     for alpha in datum.positive_roots:
         num *= inner_product(datum, lam_rho, alpha) / inner_product(datum, datum.rho, alpha)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise CertificateFailed(f"Weyl dimension {num} of {lam} is not an integer")
     return int(num)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import kquant as kq
 from kquant.characters import exact_divide
-from helpers import A1, A2, T1, T2
+from helpers import A1, A2, T1, T2, random_formal_character
 
 WP = kq.WeightPolynomial
 
@@ -183,3 +183,49 @@ def test_formal_multiply_shrinks_window():
     out = kq.formal_multiply(fc, fin)
     assert out.window == 0
     assert out.mult((0,)) == 0
+
+
+def _box_walk(a, b):
+    """Sum and agreement of two formal characters over the whole shared box."""
+    window = min(a.window, b.window)
+    box = list(kq.dominant_window(a.datum, window))
+    total = {w: a.coeffs.get(w, 0) + b.coeffs.get(w, 0) for w in box}
+    agree = all(a.coeffs.get(w, 0) == b.coeffs.get(w, 0) for w in box)
+    return window, {w: m for w, m in total.items() if m}, agree
+
+
+def test_formal_character_sum_and_agreement_match_a_box_walk():
+    rng = random.Random(45)
+    verdicts = set()
+    for datum in (T1, T2, A2):
+        for _ in range(40):
+            a = random_formal_character(rng, datum, rng.randint(0, 4))
+            choice = rng.randrange(3)
+            if choice == 0:
+                b = random_formal_character(rng, datum, rng.randint(0, 4))
+            elif choice == 1:
+                # equal on the shared window, different outside it
+                outside = random_formal_character(rng, datum, a.window + 2)
+                coeffs = {w: m for w, m in outside.coeffs.items()
+                          if max(map(abs, w)) > a.window}
+                coeffs.update(a.coeffs)
+                b = kq.FormalCharacter(datum, a.window + 2, coeffs)
+            else:
+                b = -a
+            window, total, agree = _box_walk(a, b)
+            s = a + b
+            assert s.window == window
+            assert s.coeffs == total and list(s.coeffs) == list(total)
+            assert a.agrees_with(b) == b.agrees_with(a) == agree
+            assert (a - b).coeffs == _box_walk(a, -b)[1]
+            verdicts.add(agree)
+    assert verdicts == {True, False}
+
+
+def test_decompose_guard_is_a_certificate(monkeypatch):
+    from kquant import characters
+
+    # a character that strips nothing never empties the remainder
+    monkeypatch.setattr(characters, "weyl_character", lambda datum, lam: WP.zero())
+    with pytest.raises(kq.CertificateFailed):
+        kq.decompose(A1, kq.weyl_character(A1, (2,)))

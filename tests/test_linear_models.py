@@ -160,12 +160,15 @@ def _naive_reduction(m, window):
     out = {}
     for gamma in box:
         target = [g - c for g, c in zip(gamma, m.shift)]
-        on_wall = any(
-            _exact_rank(list(sub) + [target]) == _exact_rank(list(sub))
-            for size in range(m.rank)
-            for sub in itertools.combinations(m.weights, size))
-        out[gamma] = (counts.get(gamma, 0), not on_wall)
+        out[gamma] = (counts.get(gamma, 0), not _on_wall(m, target))
     return out
+
+
+def _on_wall(m, target):
+    """Exact span membership: target lies in the span of < rank weights."""
+    return any(_exact_rank(list(sub) + [target]) == _exact_rank(list(sub))
+               for size in range(m.rank)
+               for sub in itertools.combinations(m.weights, size))
 
 
 def test_reduction_matches_naive_enumeration():
@@ -177,6 +180,78 @@ def test_reduction_matches_naive_enumeration():
         assert got == expected, m.to_dict()
 
 
+def test_regular_flag_on_degenerate_models():
+    # drawn by hand, not by chance: collinear and repeated weights, fewer
+    # distinct weights than rank - 1, rank 1, and no weights at all
+    models = [
+        kq.linear_model([(1,)], (0,)),
+        kq.linear_model([(2,), (3,), (2,)], (-1,)),
+        kq.linear_model([(1, 1), (2, 2)], (0, 1)),
+        kq.linear_model([(1, 0), (1, 0), (0, 1)], (-1, 0)),
+        kq.linear_model([(1, 1, 1)], (0, 0, 0)),
+        kq.linear_model([(1, 0, 0), (1, 0, 0)], (0, 1, -1)),
+        kq.linear_model([(1, 2, 0), (2, 4, 0)], (0, 0, 0)),
+        kq.linear_model([(1, 0, 0), (2, 0, 0), (0, 1, 0)], (-1, 0, 0)),
+        kq.linear_model([(1, 1, 0), (2, 2, 0), (0, 0, 1), (0, 0, 3)], (0, -1, 0)),
+    ]
+    for m in models:
+        expected = _naive_reduction(m, 3)
+        got = {g: tuple(kq.reduction_multiplicity(m, g)) for g in expected}
+        assert got == expected, m.to_dict()
+    empty = kq.linear_model([], (1, -1, 0))
+    for gamma in kq.dominant_window(empty.datum, 2):
+        assert kq.reduction_multiplicity(empty, gamma).regular == (
+            not _on_wall(empty, [g - c for g, c in zip(gamma, empty.shift)]))
+
+
+def test_separation_lives_on_the_model(monkeypatch):
+    import gc
+    import weakref
+
+    from kquant import linear_models as lm
+
+    calls = []
+    real = lm._min_norm_in_hull
+    monkeypatch.setattr(lm, "_min_norm_in_hull",
+                        lambda points, rank: calls.append(1) or real(points, rank))
+    proper = kq.linear_model([(3, 1), (1, 2), (2, -1)], (0, 0))
+    assert kq.check_proper(proper)
+    assert kq.farkas_vector(proper) == (3, 1)
+    assert len(calls) == 1
+    # an equal model computes its own result: nothing is shared by value
+    twin = kq.linear_model([(3, 1), (1, 2), (2, -1)], (0, 0))
+    assert twin == proper and kq.farkas_vector(twin) == (3, 1)
+    assert len(calls) == 2
+    improper = kq.linear_model([(1, 2), (-1, 0), (0, -1)], (0, 0))
+    assert not kq.check_proper(improper)
+    with pytest.raises(kq.NotProper) as info:
+        kq.farkas_vector(improper)
+    assert str(info.value) == ("0 = 1/4*(-1,0) + 1/2*(0,-1) + 1/4*(1,2); "
+                               "weights span no open half space")
+    assert len(calls) == 3
+    # the result is stored on the model and freed with it
+    assert "_separation" in vars(proper)
+    refs = [weakref.ref(m) for m in (proper, twin, improper)]
+    del proper, twin, improper, info
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_glued_strata_certificate_is_a_typed_error(monkeypatch):
+    from kquant import linear_models as lm
+
+    real = lm._stratum_vertices
+
+    def skewed(m, support):
+        verts = real(m, support)
+        # a first vertex off the stratum's mu level
+        return [(Fraction(1), Fraction(0))] + verts if support == (0, 1) else verts
+
+    monkeypatch.setattr(lm, "_stratum_vertices", skewed)
+    with pytest.raises(kq.CertificateFailed):
+        kq.vanishing_decomposition(kq.linear_model([(1,), (2,)], (-2,)))
+
+
 def test_separation_certificate_is_a_typed_error(monkeypatch):
     from kquant import linear_models as lm
 
@@ -184,15 +259,11 @@ def test_separation_certificate_is_a_typed_error(monkeypatch):
     bad = (Fraction(-1), Fraction(0))
     monkeypatch.setattr(lm, "_min_norm_in_hull",
                         lambda points, rank: (bad, [weights[0]], [Fraction(1)]))
-    lm._separating_cached.cache_clear()
-    try:
-        m = kq.linear_model(weights, (0, 0))
-        with pytest.raises(kq.CertificateFailed):
-            kq.farkas_vector(m)
-        with pytest.raises(kq.EngineError):
-            kq.reduction_multiplicity(m, (1, 1))
-    finally:
-        lm._separating_cached.cache_clear()
+    m = kq.linear_model(weights, (0, 0))
+    with pytest.raises(kq.CertificateFailed):
+        kq.farkas_vector(m)
+    with pytest.raises(kq.EngineError):
+        kq.reduction_multiplicity(m, (1, 1))
 
 
 def test_verify_qr_examples():

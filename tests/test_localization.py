@@ -117,6 +117,35 @@ def test_polarized_single_point_no_tangents():
     assert fc.coeffs == {(0,): 1}
 
 
+def test_polarized_point_without_tangents_is_cut_to_the_window():
+    # a fiber term outside the window is dropped, not reported, even when
+    # its pairing is below the cap
+    fiber = WP([((0, 0), 1), ((3, -3), 2), ((1, -2), -1)])
+    comp = kq.ClosedComponent("pt", (kq.FixedPointDatum((), fiber),))
+    k = kq.DiscreteKCycle(T2, ((1, comp),))
+    for xi in ((1, 1), (1, 2), (-1, 3)):
+        fc = kq.polarized_index(k, xi, 2)
+        assert fc.coeffs == {(0, 0): 1, (1, -2): -1}
+        assert fc.coeffs == kq.character_window(k, 2).coeffs
+
+
+def test_polarized_torus_orbifold_matches_closed():
+    rng = random.Random(44)
+    for _ in range(12):
+        for datum, cover in ((T1, random_closed_cycle_t1(rng)),
+                             (T2, random_closed_cycle_t2(rng))):
+            m = rng.randint(2, 3)
+            k = kq.DiscreteKCycle(datum, tuple(
+                (s, kq.ClosedComponent(c.label, tuple(
+                    kq.FixedPointDatum(p.tangent_weights, p.fiber_character, m)
+                    for p in c.fixed_points)))
+                for s, c in cover.components))
+            window = rng.randint(1, 5)
+            ref = kq.character_window(k, window)
+            for xi in ((1,) * datum.rank, (-1,) + (3,) * (datum.rank - 1)):
+                assert kq.polarized_index(k, xi, window).coeffs == ref.coeffs
+
+
 def test_polarized_agrees_with_closed_rank1():
     rng = random.Random(1)
     for _ in range(20):

@@ -196,3 +196,17 @@ def test_certificate_serialization():
     assert d["verdict"] is True
     assert d["window"] == 6
     assert d["before"]["terms"] == d["after"]["terms"]
+
+
+def test_split_sum_is_a_certificate(monkeypatch):
+    from kquant import moves
+
+    real = moves.closed_index
+
+    def off_by_one_on_pieces(comp, datum=None):
+        out = real(comp, datum)
+        return out + WP.monomial((0,)) if "|" in comp.label else out
+
+    monkeypatch.setattr(moves, "closed_index", off_by_one_on_pieces)
+    with pytest.raises(kq.CertificateFailed):
+        kq.certify_glue_split(kq.o_sphere(2), [[0], [1]], T1, 8)

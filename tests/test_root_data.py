@@ -96,3 +96,20 @@ def test_orbit_closed_under_reflections():
     for w in orbit:
         for i in range(A2.rank):
             assert kq.root_data.simple_reflection(A2, i, w) in orbit
+
+
+def test_singular_anchor_is_a_certificate_failure():
+    # (0, 1) is fixed by the first simple reflection, so its signs clash
+    with pytest.raises(kq.CertificateFailed):
+        kq.root_data.signed_orbit_with_images(A2, (0, 1))
+    assert len(kq.root_data.signed_orbit_with_images(A2, (1, 1))) == 6
+
+
+def test_weyl_dimension_integrality_is_a_certificate(monkeypatch):
+    from kquant import root_data
+
+    # every positive root then contributes the factor 3/2
+    monkeypatch.setattr(root_data, "inner_product",
+                        lambda datum, v, w: Fraction(2 if v == datum.rho else 3))
+    with pytest.raises(kq.CertificateFailed):
+        kq.weyl_dimension(A2, (1, 0))
