@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .errors import CertificateFailed, NotDominant, NotInvariant, WindowExhausted
-from .root_data import (RootDatum, add, as_weight, is_dominant,
+from .root_data import (RootDatum, add, as_int, as_weight, is_dominant,
                         signed_orbit_with_images, simple_reflection, sub, sup_norm)
 
 
@@ -40,7 +40,7 @@ class WeightPolynomial:
         items = terms.items() if hasattr(terms, "items") else terms
         for w, c in items:
             w = as_weight(w)
-            c = int(c)
+            c = as_int(c)
             if not c:
                 continue
             c += acc.get(w, 0)
@@ -307,7 +307,7 @@ class Character:
 
     @staticmethod
     def from_list(datum: RootDatum, rows) -> "Character":
-        return Character(datum, {as_weight(r["weight"]): int(r["mult"]) for r in rows})
+        return Character(datum, {as_weight(r["weight"]): as_int(r["mult"]) for r in rows})
 
 
 def char_product(a: Character, b: Character) -> Character:
@@ -406,8 +406,8 @@ class FormalCharacter:
 
     @staticmethod
     def from_dict(datum: RootDatum, d: dict) -> "FormalCharacter":
-        coeffs = {as_weight(r["weight"]): int(r["mult"]) for r in d.get("terms", [])}
-        return FormalCharacter(datum, int(d["window"]), coeffs)
+        coeffs = {as_weight(r["weight"]): as_int(r["mult"]) for r in d.get("terms", [])}
+        return FormalCharacter(datum, as_int(d["window"]), coeffs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,14 +13,18 @@ Two independent routes compute the same invariant:
 * formal_quantization expands t^c prod (1 - t^{w_j})^{-1} as a polarized
   geometric series on a window (through the localization engine);
 * reduction_multiplicity counts lattice points
-  #{a in Z_{>=0}^d : sum a_j w_j + c = gamma} by bounded enumeration,
-  with bounds derived from the separating vector.  Its per-model setup
+  #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}.  One pairing of gamma
+  with the packed normals of the maximal walls decides regularity and,
+  through the normals that support the cone of the weights, most zero
+  counts; the rest are enumerated with bounds from the separating
+  vector, the last loop level in closed form.  Its per-model setup
   (Farkas vector, weight order, the integer adjugate of the independent
   suffix that makes each search leaf one divisibility and sign test,
-  the normals of the maximal walls) is built on the first call for a
-  model and kept on it; it reads no series data and shares no cache
-  with the series route.  The separation result behind check_proper and
-  farkas_vector is kept on the model too, so it dies with the model.
+  the packed normals) is built on the first call for a model and kept
+  on it; it reads only the weights, the shift and the Farkas vector,
+  and shares no cache with the series route.  The separation result
+  behind check_proper and farkas_vector, found by integer Cramer solves,
+  is kept on the model too, so it dies with the model.
 
 verify_qr compares them weight by weight.  vanishing_decomposition
 solves V^mu = 0 exactly: on the stratum where exactly the coordinates
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub as minus
@@ -43,9 +48,9 @@ from .characters import FormalCharacter, WeightPolynomial
 from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
                      WindowExhausted)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
-                           normalize_polarization, polarized_index)
-from .root_data import (RootDatum, build_root_datum, dominant_window, dot,
-                        neg, sub)
+                           _int_nullspace, normalize_polarization, polarized_index)
+from .root_data import (RootDatum, as_int, build_root_datum, dominant_window,
+                        dot, neg, sub)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class LinearModel:
 
     @staticmethod
     def from_dict(d: dict) -> "LinearModel":
-        datum = build_root_datum("torus", int(d["rank"]))
+        datum = build_root_datum("torus", as_int(d["rank"]))
         return LinearModel(datum, tuple(tuple(w) for w in d["weights"]),
                            tuple(d["shift"]))
 
@@ -125,50 +130,9 @@ def _solve_unique(mat, rhs):
     return [a[r][n] for r in range(n)]
 
 
-def _rref(rows, width):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _primitive(vec):
-    """Clear denominators and common factors; first nonzero entry > 0."""
-    ints = normalize_polarization(vec)
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = tuple(-v for v in ints)
-    return ints
-
-
 def _nullspace_int(rows, width):
-    """Primitive integer basis of {x : row . x = 0 for all rows}."""
-    rref, pivots = _rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * width
-        vec[fcol] = Fraction(1)
-        for rrow, pcol in zip(rref, pivots):
-            vec[pcol] = -rrow[fcol]
-        basis.append(_primitive(vec))
-    return basis
+    """Primitive integer basis of {x : row . x = 0}; first nonzero entries > 0."""
+    return [v if next(filter(None, v)) > 0 else neg(v) for v in _int_nullspace(rows, width)]
 
 
 def _min_norm_in_hull(points, rank):
@@ -177,32 +141,36 @@ def _min_norm_in_hull(points, rank):
     Returns (x, subset, lam): x has <p, x> >= <x, x> for every input
     point, and x = sum lam_i * points[subset_i] with lam >= 0 summing
     to one.  Enumerates affinely independent subsets of size <= rank+1,
-    which always contain the optimal face (Caratheodory).
+    which always contain the optimal face (Caratheodory), in a fixed
+    order, keeping the first of equal norms.  Each subset's Gram system
+    is solved in integers by Cramer's rule over one determinant g > 0
+    (g = 0 exactly when the subset is affinely dependent), so g * x and
+    g * lam are integer vectors; only the winner becomes Fractions.
     """
-    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    pts = sorted(set(map(tuple, points)))
     best = None
     for size in range(1, min(len(pts), rank + 1) + 1):
-        for subset in itertools.combinations(range(len(pts)), size):
-            s0 = pts[subset[0]]
-            if size == 1:
-                x, lam = s0, [Fraction(1)]
-            else:
-                vs = [sub(pts[i], s0) for i in subset[1:]]
-                gram = [[dot(u, v) for v in vs] for u in vs]
-                rhs = [-dot(s0, v) for v in vs]
-                y = _solve_unique(gram, rhs)
-                if y is None:
-                    continue
-                lam = [Fraction(1) - sum(y)] + y
-                if any(l < 0 for l in lam):
-                    continue
-                x = tuple(s + sum(yi * v[k] for yi, v in zip(y, vs))
-                          for k, s in enumerate(s0))
-            norm = dot(x, x)
+        for subset in itertools.combinations(pts, size):
+            s0 = subset[0]
+            vs = [sub(p, s0) for p in subset[1:]]
+            gram = [[dot(u, v) for v in vs] for u in vs]
+            g = _int_det(gram)
+            if not g:
+                continue
+            rhs = [-dot(s0, v) for v in vs]
+            ys = [_int_det([row[:i] + [r] + row[i + 1:] for row, r in zip(gram, rhs)])
+                  for i in range(size - 1)]
+            lam = [g - sum(ys)] + ys
+            if min(lam) < 0:
+                continue
+            x = tuple(g * s + sum(y * v[k] for y, v in zip(ys, vs))
+                      for k, s in enumerate(s0))
+            norm = Fraction(dot(x, x), g * g)
             if best is None or norm < best[0]:
-                best = (norm, x, [pts[i] for i in subset], lam)
-    _, x, used, lam = best
-    return x, used, lam
+                best = (norm, x, g, subset, lam)
+    _, x, g, used, lam = best
+    return (tuple(Fraction(c, g) for c in x), list(used),
+            [Fraction(c, g) for c in lam])
 
 
 def check_proper(m: LinearModel) -> bool:
@@ -301,24 +269,46 @@ class ReductionCount(NamedTuple):
     regular: bool
 
 
+_NONE = (ReductionCount(0, False), ReductionCount(0, True))  # zero counts by regular
+
+
 class _LatticeCounter:
     """Per-model setup of the counting route; see reduction_multiplicity.
 
-    The weights are sorted by decreasing Farkas pairing.  The longest
-    linearly independent suffix of that order has at most one solution
-    a for a remainder y, by Cramer's rule on a square row choice with
-    determinant det > 0: det * a = adj * y[rows], and the rows left out
-    must satisfy det * y[r] = sum_i (det * a_i) w_i[r].  Both are linear
-    in y, so `leaf` stacks them into one integer matrix.  The search
-    carries leaf * y and steps it by leaf * w_j for the leading weights,
-    so a leaf only checks that the first k entries are nonnegative
-    multiples of det and the rest are zero (with no leading weights that
-    test is the whole count).  Only the few maximal walls are kept, so
-    regularity tests each wall's normals directly.
+    Walls and cone.  The normal n of each one-normal maximal wall is
+    oriented, where possible, so that every weight pairs >= 0 with it;
+    such a supporting normal bounds the cone of the weights, so a target
+    gamma - c pairing < 0 with it has count 0.  The normals are packed
+    as digit columns: field f (lowest bit p, top bit q) of
+    sum(packed * gamma) + const is <n_f, gamma - c> + 2^q.  So gamma is
+    on a one-normal wall iff some field of that sum ^ half is zero (the
+    zero-digit bit test, with `ones` the lowest bits), and outside the
+    cone iff a supporting field lacks its top bit (`cone`).  Widths come
+    from the normals, the shift and `reach`, the largest |gamma_t| they
+    hold; a wider gamma re-packs from the weights.  Walls with several
+    normals (`thick`) are tested directly.
+
+    Counting.  The weights are sorted by decreasing Farkas pairing.  The
+    longest linearly independent suffix of that order has at most one
+    solution a for a remainder y, by Cramer's rule on a square row
+    choice with determinant det > 0: det * a = adj * y[rows], and the
+    rows left out must satisfy det * y[r] = sum_i (det * a_i) w_i[r].
+    Both are linear in y, so `leaf` stacks them into one integer matrix.
+    The search carries leaf * y and steps it by leaf * w_j for the
+    leading weights; a leaf needs the first k entries to be nonnegative
+    multiples of det and the rest zero.  These conditions are linear in
+    the last leading weight's coefficient a, so the valid a form an
+    interval met with one residue class mod `period` = det // gcd(det,
+    step[:k]), counted in closed form instead of looped.
     """
+
+    __slots__ = ("weights", "shift", "xi", "det", "k", "leaf", "steps",
+                 "period", "reach", "packed", "const", "half", "ones",
+                 "cone", "thick")
 
     def __init__(self, m: LinearModel):
         rank = m.rank
+        self.weights, self.shift = m.weights, m.shift
         self.xi = xi = farkas_vector(m)
         ws = sorted(m.weights, key=lambda w: -dot(w, xi))
         free = len(ws)
@@ -345,58 +335,100 @@ class _LatticeCounter:
         leaf += [tuple(self.det * (c == r) - sum(n[c] * w[r] for n, w in zip(leaf, suffix))
                        for c in range(rank))
                  for r in range(rank) if r not in rows]
-        self.leaf = leaf
-        self.steps = [(tuple(dot(row, w) for row in leaf), dot(w, xi))
-                      for w in ws[:free]]
-        self.walls = _wall_normals(m.weights, rank)
+        self.leaf = tuple(leaf)
+        self.steps = tuple((tuple(dot(row, w) for row in leaf), dot(w, xi))
+                           for w in ws[:free])
+        self.period = (self.det // math.gcd(self.det, *self.steps[-1][0][:self.k])
+                       if self.steps else 1)
+        self.reach = -1  # nothing packed yet
 
-    def count(self, target) -> ReductionCount:
-        budget = sum(map(mul, target, self.xi))
-        total = 0
-        if budget >= 0:
-            y = tuple(sum(map(mul, row, target)) for row in self.leaf)
-            total = self._search(0, y, budget) if self.steps else self._leaf(y)
-        # regular iff every wall has a normal that target does not annihilate
-        regular = True
-        for wall in self.walls:
-            for nrm in wall:
-                if sum(map(mul, nrm, target)):
-                    break
-            else:
-                regular = False
-                break
-        return ReductionCount(total, regular)
+    def _pack(self, reach):
+        """Pack the one-normal walls for every gamma with |gamma_t| <= reach."""
+        ws, c0 = self.weights, self.shift
+        packed, const, half, ones, cone, thick, p = [0] * len(c0), 0, 0, 0, 0, [], 0
+        for wall in _wall_normals(ws, len(c0)):
+            if len(wall) > 1:
+                thick.append(tuple((n, dot(n, c0)) for n in wall))
+                continue
+            n = neg(wall[0]) if all(dot(w, wall[0]) <= 0 for w in ws) else wall[0]
+            c = dot(n, c0)
+            top = 1 << p + (sum(map(abs, n)) * reach + abs(c)).bit_length()
+            packed = [x + (v << p) for x, v in zip(packed, n)]
+            const += top - (c << p)
+            half += top
+            ones += 1 << p
+            if all(dot(w, n) >= 0 for w in ws):
+                cone += top
+            p = top.bit_length()
+        self.packed, self.const, self.half, self.ones = tuple(packed), const, half, ones
+        self.cone, self.thick, self.reach = cone, tuple(thick), reach
 
-    def _leaf(self, y):
-        head = y[:self.k]
-        return int(not any(y[self.k:]) and min(head, default=0) >= 0
-                   and not any(map(self.det.__rmod__, head)))
+    def count(self, gamma) -> ReductionCount:
+        if not -self.reach <= min(gamma) <= max(gamma) <= self.reach:
+            self._pack(max(map(abs, gamma)))
+        d = sum(map(mul, self.packed, gamma)) + self.const
+        e = d ^ self.half
+        regular = not (e - self.ones) & ~e & self.half
+        if regular and self.thick:
+            regular = all(any(sum(map(mul, n, gamma)) != c for n, c in wall)
+                          for wall in self.thick)
+        if d & self.cone != self.cone:
+            return _NONE[regular]
+        target = tuple(map(minus, gamma, self.shift))
+        y = tuple(sum(map(mul, row, target)) for row in self.leaf)
+        if not self.steps:  # the leaf test is the count: a = 0 on a zero step
+            return ReductionCount(self._last(y, 0, (0,) * len(y)), regular)
+        # a budget < 0 leaves the search nothing to visit
+        return ReductionCount(self._search(0, y, sum(map(mul, target, self.xi))), regular)
 
     def _search(self, j, y, b):
         step, pw = self.steps[j]
-        deeper = j + 1 < len(self.steps)
+        if j + 1 == len(self.steps):
+            return self._last(y, b // pw, step)
         total = 0
         for _ in range(b // pw + 1):
-            total += self._search(j + 1, y, b) if deeper else self._leaf(y)
+            total += self._search(j + 1, y, b)
             y = tuple(map(minus, y, step))
             b -= pw
         return total
+
+    def _last(self, y, hi, step):
+        """#{a in [0, hi] : y - a * step passes the leaf test}, in closed form.
+
+        step belongs to the last leading weight, which lies in the span
+        of the suffix (or the suffix spans everything), so its residual
+        entries are zero: a is bounded by the head rows alone.
+        """
+        k, lo = self.k, 0
+        if any(y[k:]):
+            return 0
+        head = tuple(zip(y[:k], step))
+        for yr, sr in head:
+            if sr > 0:
+                hi = min(hi, yr // sr)
+            elif sr < 0:
+                lo = max(lo, -(yr // -sr))
+            elif yr < 0:
+                return 0
+        for a in range(lo, min(hi, lo + self.period - 1) + 1):
+            if not any((yr - a * sr) % self.det for yr, sr in head):
+                return (hi - a) // self.period + 1
+        return 0
 
 
 def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
     """Lattice count of mu^{-1}(gamma) data, with a regularity flag.
 
-    Counts #{a in Z_{>=0}^d : sum a_j w_j + c = gamma} by depth-first
-    enumeration bounded through the Farkas vector: a_j <= <gamma-c, xi>
-    / <w_j, xi>.  Only the leading weights that depend on the longest
-    independent suffix are looped; the suffix is solved exactly.  gamma
-    is regular iff gamma - c avoids every wall spanned by fewer than
-    rank weights, which it tests on the maximal walls only.  The
-    per-model setup (Farkas vector, weight order, suffix adjugate, wall
-    normals) is built on the first call for a model and kept on it.
+    Counts #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}; gamma is regular
+    iff gamma - c avoids every wall spanned by fewer than rank weights
+    (tested on the maximal walls).  One packed pairing decides regularity
+    and whether gamma - c lies outside the cone of the weights (count 0);
+    inside it, a search bounded by the Farkas vector (a_j <= <gamma-c, xi>
+    / <w_j, xi>) loops the leading weights but the last, counts the last
+    in closed form and solves the independent suffix exactly.  The setup
+    is built on a model's first call and kept on it (_LatticeCounter).
     """
-    gamma = m.datum.check_weight(gamma)
-    return m._counter.count(sub(gamma, m.shift))
+    return m._counter.count(m.datum.check_weight(gamma))
 
 
 # ------------------------------------------------------------- vanishing
@@ -542,8 +574,7 @@ def check_compatibility(m: LinearModel, phi_offset, bound) -> bool:
 
 # ------------------------------------------------------------ verify_qr
 
-@dataclass(frozen=True)
-class QRRow:
+class QRRow(NamedTuple):
     gamma: tuple
     q_top: int
     q_red: int
@@ -581,13 +612,10 @@ class QRReport:
 
 def verify_qr(m: LinearModel, window: int) -> QRReport:
     """Compare series multiplicities against lattice counts on a window."""
-    fq = formal_quantization(m, window)
+    series = formal_quantization(m, window).coeffs.get
     rows = []
-    verdict = True
     for gamma in dominant_window(m.datum, window):
-        q_top = fq.coeffs.get(gamma, 0)
+        q_top = series(gamma, 0)
         q_red, regular = reduction_multiplicity(m, gamma)
-        ok = q_top == q_red
-        verdict = verdict and ok
-        rows.append(QRRow(gamma, q_top, q_red, regular, ok))
-    return QRReport(m, window, rows, verdict)
+        rows.append(QRRow(gamma, q_top, q_red, regular, q_top == q_red))
+    return QRReport(m, window, rows, all(row.match for row in rows))

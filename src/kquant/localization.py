@@ -33,8 +33,8 @@ from .characters import FormalCharacter, WeightPolynomial, exact_divide
 from .errors import (DegeneratePolarization, EnumerationUnbounded,
                      NonIsolatedFixedPoint, NotClosed,
                      OrbifoldAveragingUnsupported, WindowExhausted)
-from .root_data import (RootDatum, add, as_weight, dominant_window, dot, neg,
-                        scale, signed_orbit_with_images, sub, sup_norm)
+from .root_data import (RootDatum, add, as_int, as_weight, dominant_window,
+                        dot, neg, scale, signed_orbit_with_images, sub, sup_norm)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class FixedPointDatum:
     def from_dict(d):
         return FixedPointDatum(tuple(tuple(w) for w in d["tangent"]),
                                WeightPolynomial.from_list(d["fiber"]),
-                               int(d.get("order", 1)))
+                               as_int(d.get("order", 1)))
 
 
 def point(fiber, *tangent_weights, order=1) -> FixedPointDatum:
@@ -103,7 +103,7 @@ class ClosedComponent:
     @staticmethod
     def from_dict(d):
         pts = tuple(FixedPointDatum.from_dict(p) for p in d["fixed_points"])
-        return int(d.get("sign", 1)), ClosedComponent(str(d.get("label", "")), pts)
+        return as_int(d.get("sign", 1)), ClosedComponent(str(d.get("label", "")), pts)
 
 
 @dataclass

@@ -15,6 +15,7 @@ simple reflections.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +24,24 @@ from .errors import CertificateFailed, NotDominant, UnsupportedKind
 Weight = tuple
 
 
+def as_int(x) -> int:
+    """x as an int: integer types only (operator.index), and no bools."""
+    if type(x) is bool:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 def as_weight(v) -> Weight:
-    """Coerce a sequence of integer-like entries to a weight tuple."""
-    return tuple(int(x) for x in v)
+    """The weight tuple of a sequence of integers.
+
+    Entries go through operator.index, so floats and Fractions raise
+    TypeError instead of being truncated; bools raise too, as
+    index(True) is 1.
+    """
+    v = tuple(v)
+    if bool in map(type, v):
+        raise TypeError(f"weight {list(v)} has bool entries")
+    return tuple(map(operator.index, v))
 
 
 def sup_norm(w) -> int:

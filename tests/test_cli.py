@@ -150,6 +150,19 @@ def test_vanishing(files, capsys):
     assert table.splitlines()[0] == "support\tmu_value\tcompact\tmu_diameter"
 
 
+@pytest.mark.parametrize("point, tangent, fiber", [(1, -1.5, 2.9), (0, True, True)])
+def test_non_integer_weights_are_input_errors(files, capsys, point, tangent, fiber):
+    # int() would truncate each to the closed cycle fn_cycle_dict(1), as
+    # True would read as 1
+    doc = fn_cycle_dict(1)
+    pt = doc["components"][0]["fixed_points"][point]
+    pt["tangent"] = [[tangent]]
+    pt["fiber"][0]["weight"] = [fiber]
+    status, out = run(capsys, "index", files("c.json", doc))
+    assert status == 1
+    assert set(json.loads(out)) == {"error", "detail"}
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json", encoding="utf-8")

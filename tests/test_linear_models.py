@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -173,9 +174,21 @@ def _on_wall(m, target):
 
 def test_reduction_matches_naive_enumeration():
     rng = random.Random(41)
-    for _ in range(30):
-        m = random_proper_model(rng, max_d=4, max_r=3, entry=2)
-        expected = _naive_reduction(m, 3)
+    corpus = [(random_proper_model(rng, max_d=4, max_r=3, entry=2), 3)
+              for _ in range(30)]
+    # at least two leading weights, so the closed-form last search level
+    # runs below a looped one
+    for rank, sizes in ((1, (4, 5, 6)), (2, (4, 5))):
+        for d in sizes:
+            for _ in range(3):
+                while True:
+                    m = random_proper_model(rng, max_d=d, max_r=rank, entry=2)
+                    if len(m.weights) == d and m.rank == rank:
+                        break
+                assert len(m._counter.steps) >= 2, m.to_dict()
+                corpus.append((m, 4))
+    for m, window in corpus:
+        expected = _naive_reduction(m, window)
         got = {g: tuple(kq.reduction_multiplicity(m, g)) for g in expected}
         assert got == expected, m.to_dict()
 
@@ -202,6 +215,95 @@ def test_regular_flag_on_degenerate_models():
     for gamma in kq.dominant_window(empty.datum, 2):
         assert kq.reduction_multiplicity(empty, gamma).regular == (
             not _on_wall(empty, [g - c for g, c in zip(gamma, empty.shift)]))
+
+
+def _normal(vectors, rank):
+    """A normal of the span of rank - 1 vectors (zero if they are dependent)."""
+    if rank == 1:
+        return (1,)
+    if rank == 2:
+        (w,) = vectors
+        return (-w[1], w[0])
+    u, v = vectors
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _outside_cone(m, target):
+    """target pairs < 0 with the Farkas vector or with a supporting normal."""
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    if dot(target, kq.farkas_vector(m)) < 0:
+        return True
+    for sub in itertools.combinations(m.weights, m.rank - 1):
+        n = _normal(sub, m.rank)
+        for nn in (n, tuple(-x for x in n)):
+            if all(dot(w, nn) >= 0 for w in m.weights) and dot(target, nn) < 0:
+                return True
+    return False
+
+
+def _no_search(*args):
+    raise AssertionError("a target outside the cone reached the search")
+
+
+def test_reduction_exact_for_huge_targets(monkeypatch):
+    from kquant import linear_models as lm
+
+    big = (10**30, -10**30, 2**63 - 1, 2**63 + 1, -(2**63 - 1), -(2**63 + 1))
+    models = [
+        kq.linear_model([(1, 0), (0, 1)], (0, 0)),
+        kq.linear_model([(1, 2), (3, -1), (2, 2)], (1, -1)),
+        kq.linear_model([(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, -1, 1)], (0, 1, -1)),
+        # wall normals that must be flipped to support the cone
+        kq.linear_model([(0, -1), (-1, -1)], (2, 0)),
+        kq.linear_model([(-2,), (-3,)], (1,)),
+        # thin: every weight lies on a wall, or the walls have several normals
+        kq.linear_model([(1, 1), (2, 2)], (0, 1)),
+        kq.linear_model([(1, 0, 0), (1, 0, 0)], (0, 1, -1)),
+        kq.linear_model([(1, 2, 0), (2, 4, 0)], (0, 0, 0)),
+        kq.linear_model([], (1, -1, 0)),
+        kq.linear_model([], (3,)),
+    ]
+    for m in models:
+        seen = 0
+        with monkeypatch.context() as patch:
+            if m.weights and _exact_rank(m.weights) == m.rank:
+                # the supporting normals include every facet: no search
+                patch.setattr(lm._LatticeCounter, "_search", _no_search)
+                patch.setattr(lm._LatticeCounter, "_last", _no_search)
+            for gamma in itertools.product(big + (0, 1), repeat=m.rank):
+                target = [g - c for g, c in zip(gamma, m.shift)]
+                if not _outside_cone(m, target):
+                    continue  # counting there would take about 10**30 steps
+                seen += 1
+                got = kq.reduction_multiplicity(m, gamma)
+                assert got == (0, not _on_wall(m, target)), (m.to_dict(), gamma)
+        assert seen, m.to_dict()
+        # the counter re-packed for the huge targets still counts small ones
+        box = list(kq.dominant_window(m.datum, 2))
+        expected = (_naive_reduction(m, 2) if m.weights else
+                    {g: (int(g == m.shift), not _on_wall(m, [a - b for a, b in zip(g, m.shift)]))
+                     for g in box})
+        assert {g: tuple(kq.reduction_multiplicity(m, g)) for g in box} == expected
+    # huge targets inside the cone of a rank-1 model: one loop level at
+    # most, so the count is the closed-form last level on huge numbers
+    for ws, c in ((3,), 1), ((2, 3), -1), ((4, 6), 0), ((6, 4, 9), 2):
+        m = kq.linear_model([(w,) for w in ws], (c,))
+        for g in big + (0, 1, 2, 7):
+            t = g - c
+            if len(ws) == 1:
+                expected = int(t >= 0 and t % ws[0] == 0)
+            elif len(ws) == 2:
+                # a * lead + b * last = t: a runs over residue classes mod period
+                (lead, last), top = ws, t // ws[0]
+                period = last // math.gcd(lead, last)
+                expected = sum((top - a) // period + 1 for a in range(min(period, top + 1))
+                               if (t - a * lead) % last == 0)
+            elif t >= 0:
+                continue  # two loop levels over 10**30 values
+            else:
+                expected = 0
+            assert kq.reduction_multiplicity(m, (g,)) == (expected, t != 0), (ws, g)
 
 
 def test_separation_lives_on_the_model(monkeypatch):
@@ -235,6 +337,64 @@ def test_separation_lives_on_the_model(monkeypatch):
     del proper, twin, improper, info
     gc.collect()
     assert all(r() is None for r in refs)
+
+
+def _fraction_min_norm(points, rank):
+    """(x, subset, lam) by Fraction Gauss-Jordan on each subset's Gram system."""
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    best = None
+    for size in range(1, min(len(pts), rank + 1) + 1):
+        for subset in itertools.combinations(pts, size):
+            s0, n = subset[0], size - 1
+            vs = [[a - b for a, b in zip(p, s0)] for p in subset[1:]]
+            a = [[sum(x * y for x, y in zip(u, v)) for v in vs]
+                 + [-sum(x * y for x, y in zip(s0, u))] for u in vs]
+            for col in range(n):
+                piv = next((r for r in range(col, n) if a[r][col]), None)
+                if piv is None:
+                    break
+                a[col], a[piv] = a[piv], a[col]
+                a[col] = [x / a[col][col] for x in a[col]]
+                for r in range(n):
+                    if r != col and a[r][col]:
+                        a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+            else:
+                y = [row[n] for row in a]
+                lam = [1 - sum(y)] + y
+                if min(lam) < 0:
+                    continue
+                x = [s + sum(yi * v[k] for yi, v in zip(y, vs)) for k, s in enumerate(s0)]
+                norm = sum(c * c for c in x)
+                if best is None or norm < best[0]:
+                    best = (norm, x, subset, lam)
+    return best[1:]
+
+
+def test_integer_separation_matches_fraction_min_norm():
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(120):
+        rank = rng.randint(1, 3)
+        ws = [w for w in (tuple(rng.randint(-2, 2) for _ in range(rank))
+                          for _ in range(rng.randint(1, 5))) if any(w)]
+        m = kq.linear_model(ws, (0,) * rank)
+        if not ws:
+            continue
+        x, used, lam = _fraction_min_norm(ws, rank)
+        if any(x):
+            den = math.lcm(*(c.denominator for c in x))
+            ints = [int(c * den) for c in x]
+            xi = tuple(c // math.gcd(*ints) for c in ints)
+            assert kq.farkas_vector(m) == xi, ws
+            kinds.add("proper")
+        else:
+            combo = " + ".join(f"{l}*({','.join(str(c) for c in w)})"
+                               for w, l in zip(used, lam) if l)
+            with pytest.raises(kq.NotProper) as info:
+                kq.farkas_vector(m)
+            assert str(info.value) == f"0 = {combo}; weights span no open half space"
+            kinds.add("improper")
+    assert kinds == {"proper", "improper"}
 
 
 def test_glued_strata_certificate_is_a_typed_error(monkeypatch):

@@ -113,3 +113,26 @@ def test_weyl_dimension_integrality_is_a_certificate(monkeypatch):
                         lambda datum, v, w: Fraction(2 if v == datum.rho else 3))
     with pytest.raises(kq.CertificateFailed):
         kq.weyl_dimension(A2, (1, 0))
+
+
+def test_non_integers_are_rejected_not_truncated():
+    import numpy as np
+    from kquant.root_data import as_weight
+    assert as_weight([np.int64(2), -3]) == (2, -3)
+    assert T2.check_weight((1, 0)) == (1, 0)
+    for bad in ([1.5, 0], [True, 0], [Fraction(1), 0], ["1", 0]):
+        with pytest.raises(TypeError):
+            T2.check_weight(bad)
+    terms = [{"weight": [0], "mult": 1}]
+    with pytest.raises(TypeError):
+        kq.LinearModel.from_dict({"rank": 1.0, "weights": [[1]], "shift": [0]})
+    with pytest.raises(TypeError):
+        kq.WeightPolynomial([((1,), 2.5)])
+    with pytest.raises(TypeError):
+        kq.WeightPolynomial([((1,), True)])
+    with pytest.raises(TypeError):
+        kq.FixedPointDatum.from_dict({"tangent": [[1]], "fiber": terms, "order": 2.0})
+    with pytest.raises(TypeError):
+        kq.FormalCharacter.from_dict(T1, {"window": 2.5, "terms": terms})
+    with pytest.raises(TypeError):
+        kq.FormalCharacter.from_dict(T1, {"window": 2, "terms": [{"weight": [0], "mult": 0.5}]})
