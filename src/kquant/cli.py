@@ -26,7 +26,7 @@ from .moves import (bundle_modification, certify_disjoint_union,
                     certify_disk_decomposition, certify_glue_split,
                     certify_product, compare_cycles)
 from .orbits import orbit_cycle
-from .root_data import build_root_datum
+from .root_data import as_int, build_root_datum
 
 
 class CLIError(Exception):
@@ -148,7 +148,7 @@ def _run_moves(args):
     if not isinstance(req, dict) or "move" not in req:
         raise CLIError('move file must be an object with a "move" field')
     name = req["move"]
-    window = args.window if args.window is not None else int(req.get("window", 10))
+    window = args.window if args.window is not None else as_int(req.get("window", 10))
     xi = args.polarization
     result = None
     if name == "disjoint_union":
@@ -160,13 +160,13 @@ def _run_moves(args):
     elif name == "disk_decomposition":
         _require(req, "sign", "truncation")
         out, cert = certify_disk_decomposition(
-            int(req["sign"]), int(req["truncation"]), window, xi)
+            as_int(req["sign"]), as_int(req["truncation"]), window, xi)
         result = out.to_dict()
     elif name == "glue_split":
         _require(req, "cycle", "blocks")
         k = DiscreteKCycle.from_dict(req["cycle"])
-        _, comp = k.components[int(req.get("component", 0))]
-        blocks = [list(map(int, b)) for b in req["blocks"]]
+        _, comp = k.components[as_int(req.get("component", 0))]
+        blocks = [list(map(as_int, b)) for b in req["blocks"]]
         pieces, cert = certify_glue_split(comp, blocks, k.datum, window, xi)
         result = [p.to_dict() for p in pieces]
     elif name == "bundle_modification":

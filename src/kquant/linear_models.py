@@ -16,17 +16,19 @@ Two independent routes compute the same invariant:
   #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}.  One pairing of gamma
   with the packed normals of the maximal walls decides regularity and,
   through the normals that support the cone of the weights, most zero
-  counts; the rest are enumerated with bounds from the separating
-  vector, the last loop level in closed form.  Its per-model setup
-  (Farkas vector, weight order, the integer adjugate of the independent
-  suffix that makes each search leaf one divisibility and sign test,
-  the packed normals) is built on the first call for a model and kept
-  on it; it reads only the weights, the shift and the Farkas vector,
-  and shares no cache with the series route.  The separation result
+  counts; functionals for the group the weights generate decide most
+  others.  The rest are enumerated with bounds from the separating
+  vector, the last loop level in closed form (a simplicial cone needs
+  none).  Its per-model setup (Farkas vector, weight order, the integer
+  adjugate of the independent suffix that makes each search leaf one
+  divisibility and sign test, the packed normals, the group functionals)
+  is built on the first call for a model and kept on it; it reads only
+  the weights, the shift and the Farkas vector, and shares no cache with
+  the series route.  The same setup counts a whole window in one pass.  The separation result
   behind check_proper and farkas_vector, found by integer Cramer solves,
   is kept on the model too, so it dies with the model.
 
-verify_qr compares them weight by weight.  vanishing_decomposition
+verify_qr compares them weight by weight, counting the window in one pass.  vanishing_decomposition
 solves V^mu = 0 exactly: on the stratum where exactly the coordinates
 in S are nonzero the condition is <w_j, mu(z)> = 0 for j in S, a linear
 system in the action variables a_j = |z_j|^2 / 2 whose solution set is a
@@ -262,6 +264,47 @@ def _cramer_kit(cols, rank):
     return None
 
 
+def _lattice_tests(weights, rank):
+    """Functionals deciding membership in the group the weights generate.
+
+    Unimodular row operations P and column operations bring the rank x d
+    matrix of the weights to diagonal form diag(e_0, ..., e_{s-1}, 0, ...),
+    so x is in the group iff P x is in the group of that form: row t >= s
+    of P must vanish on x (the span) and row t < s must vanish modulo
+    |e_t| (the lattice inside the span).  Returns (row, modulus) pairs,
+    modulus 0 for the span; a modulus 1 needs no test.
+    """
+    d = len(weights)
+    a = [[w[t] for w in weights] + [int(s == t) for s in range(rank)] for t in range(rank)]
+    p = 0
+    while nz := [(abs(r[j]), i, j) for i, r in enumerate(a[p:], p) for j in range(p, d) if r[j]]:
+        _, i, j = min(nz)  # the smallest entry left becomes the pivot
+        a[p], a[i] = a[i], a[p]
+        for r in a:
+            r[p], r[j] = r[j], r[p]
+        piv = a[p]
+        for r in a[p + 1:]:
+            q = r[p] // piv[p]
+            r[:] = [x - q * y for x, y in zip(r, piv)]
+        for j in range(p + 1, d):
+            q = piv[j] // piv[p]
+            for r in a:
+                r[j] -= q * r[p]
+        # remainders left in the pivot's row or column: pivot again on a smaller one
+        p += not (any(r[p] for r in a[p + 1:]) or any(piv[p + 1:d]))
+    return tuple((tuple(r[d:]), abs(r[t]) if t < p else 0)
+                 for t, r in enumerate(a) if t >= p or abs(r[t]) > 1)
+
+
+def _box_sums(v, base, axes):
+    """[base + <v, gamma> for gamma in product(*axes)], summed axis by axis."""
+    out = [base]
+    for x, values in zip(v, axes):
+        row = [x * g for g in values]
+        out = [a + b for a in out for b in row]
+    return out
+
+
 class ReductionCount(NamedTuple):
     """(count, regular) with named access."""
 
@@ -288,6 +331,19 @@ class _LatticeCounter:
     hold; a wider gamma re-packs from the weights.  Walls with several
     normals (`thick`) are tested directly.
 
+    Lattice.  A nonzero count needs gamma - c in the group the weights
+    generate; `lattice` holds the functionals that decide it (see
+    _lattice_tests).  With no leading weights and k == rank (see below)
+    the cone is simplicial and the cone and lattice tests are exact, so
+    a target passing both counts 1 with no Cramer rows.
+
+    Window.  window(w) counts the whole box [-w, w]^rank in one pass and
+    count(gamma) one point, through the same _counts: it packs for the
+    reach, builds the packed, thick-wall and lattice pairings of every
+    point by incremental sums along the axes (_box_sums), and solves only
+    the targets inside the cone that pass the lattice test, each on its
+    own; every other point gets one of the two shared zero counts.
+
     Counting.  The weights are sorted by decreasing Farkas pairing.  The
     longest linearly independent suffix of that order has at most one
     solution a for a remainder y, by Cramer's rule on a square row
@@ -303,8 +359,8 @@ class _LatticeCounter:
     """
 
     __slots__ = ("weights", "shift", "xi", "det", "k", "leaf", "steps",
-                 "period", "reach", "packed", "const", "half", "ones",
-                 "cone", "thick")
+                 "period", "lattice", "reach", "packed", "const", "half",
+                 "ones", "cone", "thick")
 
     def __init__(self, m: LinearModel):
         rank = m.rank
@@ -340,6 +396,7 @@ class _LatticeCounter:
                            for w in ws[:free])
         self.period = (self.det // math.gcd(self.det, *self.steps[-1][0][:self.k])
                        if self.steps else 1)
+        self.lattice = _lattice_tests(m.weights, rank)
         self.reach = -1  # nothing packed yet
 
     def _pack(self, reach):
@@ -364,22 +421,42 @@ class _LatticeCounter:
         self.cone, self.thick, self.reach = cone, tuple(thick), reach
 
     def count(self, gamma) -> ReductionCount:
-        if not -self.reach <= min(gamma) <= max(gamma) <= self.reach:
-            self._pack(max(map(abs, gamma)))
-        d = sum(map(mul, self.packed, gamma)) + self.const
-        e = d ^ self.half
-        regular = not (e - self.ones) & ~e & self.half
-        if regular and self.thick:
-            regular = all(any(sum(map(mul, n, gamma)) != c for n, c in wall)
-                          for wall in self.thick)
-        if d & self.cone != self.cone:
-            return _NONE[regular]
-        target = tuple(map(minus, gamma, self.shift))
-        y = tuple(sum(map(mul, row, target)) for row in self.leaf)
-        if not self.steps:  # the leaf test is the count: a = 0 on a zero step
-            return ReductionCount(self._last(y, 0, (0,) * len(y)), regular)
-        # a budget < 0 leaves the search nothing to visit
-        return ReductionCount(self._search(0, y, sum(map(mul, target, self.xi))), regular)
+        return self._counts([(g,) for g in gamma], max(map(abs, gamma)))[0]
+
+    def window(self, w) -> list:
+        """count(gamma) for every gamma of [-w, w]^rank, in dominant_window order."""
+        return self._counts([range(-w, w + 1)] * len(self.shift), w)
+
+    def _counts(self, axes, reach):
+        """count(gamma) for every gamma of product(*axes), all |gamma_t| <= reach."""
+        if self.reach < reach:
+            self._pack(reach)
+        half, ones, cone, c0 = self.half, self.ones, self.cone, self.shift
+        ds = _box_sums(self.packed, self.const, axes)
+        regular = [not ((e := d ^ half) - ones) & ~e & half for d in ds]
+        for wall in self.thick:
+            regular = [r and any(z) for r, *z in
+                       zip(regular, *(_box_sums(n, -c, axes) for n, c in wall))]
+        inside = [d & cone == cone for d in ds]
+        for n, m in self.lattice:
+            vs = _box_sums(n, -dot(n, c0), axes)
+            inside = [a and not (v % m if m else v) for a, v in zip(inside, vs)]
+        out = [_NONE[r] for r in regular]
+        for i, gamma in itertools.compress(enumerate(itertools.product(*axes)), inside):
+            out[i] = self._solve(tuple(map(minus, gamma, c0)), regular[i])
+        return out
+
+    def _solve(self, target, regular):
+        """The count of a target inside the cone and the group of the weights."""
+        if not self.steps and self.k == len(target):
+            n = 1  # simplicial: the cone and lattice tests were exact
+        else:
+            y = tuple(sum(map(mul, row, target)) for row in self.leaf)
+            if self.steps:  # a budget < 0 leaves the search nothing to visit
+                n = self._search(0, y, sum(map(mul, target, self.xi)))
+            else:  # the leaf test is the count: a = 0 on a zero step
+                n = self._last(y, 0, (0,) * len(y))
+        return ReductionCount(n, regular) if n else _NONE[regular]
 
     def _search(self, j, y, b):
         step, pw = self.steps[j]
@@ -422,11 +499,13 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
     Counts #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}; gamma is regular
     iff gamma - c avoids every wall spanned by fewer than rank weights
     (tested on the maximal walls).  One packed pairing decides regularity
-    and whether gamma - c lies outside the cone of the weights (count 0);
-    inside it, a search bounded by the Farkas vector (a_j <= <gamma-c, xi>
+    and whether gamma - c lies outside the cone of the weights, a few
+    functionals whether it lies outside the group they generate (count
+    0); else a search bounded by the Farkas vector (a_j <= <gamma-c, xi>
     / <w_j, xi>) loops the leading weights but the last, counts the last
     in closed form and solves the independent suffix exactly.  The setup
-    is built on a model's first call and kept on it (_LatticeCounter).
+    is built on a model's first call and kept on it (_LatticeCounter,
+    shared with the window pass of verify_qr).
     """
     return m._counter.count(m.datum.check_weight(gamma))
 
@@ -611,11 +690,14 @@ class QRReport:
 
 
 def verify_qr(m: LinearModel, window: int) -> QRReport:
-    """Compare series multiplicities against lattice counts on a window."""
+    """Compare series multiplicities against lattice counts on a window.
+
+    The series comes from formal_quantization, the counts of the whole
+    window from one pass of the model's counter (_LatticeCounter.window),
+    equal to reduction_multiplicity at every weight.
+    """
     series = formal_quantization(m, window).coeffs.get
-    rows = []
-    for gamma in dominant_window(m.datum, window):
-        q_top = series(gamma, 0)
-        q_red, regular = reduction_multiplicity(m, gamma)
-        rows.append(QRRow(gamma, q_top, q_red, regular, q_top == q_red))
+    box = list(dominant_window(m.datum, window))
+    rows = [QRRow(g, q, n, r, q == n) for g, q, (n, r) in
+            zip(box, map(series, box, itertools.repeat(0)), m._counter.window(window))]
     return QRReport(m, window, rows, all(row.match for row in rows))

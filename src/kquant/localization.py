@@ -125,7 +125,7 @@ class DiscreteKCycle:
     def __post_init__(self):
         comps = []
         for sign, comp in self.components:
-            sign = int(sign)
+            sign = as_int(sign)
             if sign not in (-1, 1):
                 raise ValueError(f"component sign must be +-1, got {sign}")
             self._check_component(comp)
@@ -161,7 +161,7 @@ class DiscreteKCycle:
         for i in range(self.enumeration_bound + 1):
             s, c = self.family(i)
             self._check_component(c)
-            extra.append((int(s), c))
+            extra.append((as_int(s), c))
         return DiscreteKCycle(self.datum, self.components + tuple(extra))
 
     def iter_certified(self, xi, maxpair):
@@ -188,7 +188,7 @@ class DiscreteKCycle:
             prev = low
             if low > maxpair:
                 return
-            yield (int(s), c)
+            yield (as_int(s), c)
         raise EnumerationUnbounded(
             f"enumeration bound {self.enumeration_bound} does not certify the window")
 
@@ -288,21 +288,21 @@ def normalize_polarization(xi) -> tuple:
     return tuple(v // g for v in ints)
 
 
-def auto_polarization(k: DiscreteKCycle) -> tuple:
-    """A certified-generic integer polarization for a cycle.
+def auto_polarization(*cycles: DiscreteKCycle) -> tuple:
+    """A certified-generic integer polarization for every cycle given.
 
     Uses xi = (1, b, b^2, ...) with b one more than the largest tangent
     coordinate in absolute value: a zero pairing would be a vanishing
     base-b expansion with digits below b, forcing a zero weight.
     """
-    cycle = k.materialized() if k.family is not None else k
     big = 0
-    for _, comp in cycle.components:
-        for p in comp.fixed_points:
-            for w in p.tangent_weights:
-                big = max(big, sup_norm(w))
+    for k in cycles:
+        for _, comp in k.materialized().components:
+            for p in comp.fixed_points:
+                for w in p.tangent_weights:
+                    big = max(big, sup_norm(w))
     base = big + 1
-    return tuple(base ** i for i in range(k.datum.rank))
+    return tuple(base ** i for i in range(cycles[0].datum.rank))
 
 
 def _extraction_points(datum: RootDatum, window: int):

@@ -16,8 +16,9 @@ from .errors import (CertificateFailed, DatumMismatch, EmptyBlock,
                      FiberIndexNotUnit, OddFiber, OrbifoldAveragingUnsupported,
                      SecondFactorInfinite, UnsupportedSplit)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
-                           closed_index, closed_sum, point, polarized_index)
-from .root_data import add, build_root_datum, neg, sub, sup_norm
+                           auto_polarization, closed_index, closed_sum, point,
+                           polarized_index)
+from .root_data import build_root_datum, neg, sub
 
 
 @dataclass
@@ -37,19 +38,6 @@ class RewriteCertificate:
 def certify(before: FormalCharacter, after: FormalCharacter) -> RewriteCertificate:
     window = min(before.window, after.window)
     return RewriteCertificate(before, after, window, before.agrees_with(after))
-
-
-def _joint_polarization(*cycles) -> tuple:
-    """Generic integer polarization valid for every tangent weight given."""
-    big = 0
-    for k in cycles:
-        kk = k.materialized() if k.family is not None else k
-        for _, comp in kk.components:
-            for p in comp.fixed_points:
-                for w in p.tangent_weights:
-                    big = max(big, sup_norm(w))
-    base = big + 1
-    return tuple(base ** i for i in range(cycles[0].datum.rank))
 
 
 def f_sphere(n: int) -> ClosedComponent:
@@ -195,7 +183,7 @@ def bundle_modification(k: DiscreteKCycle, fiber: ClosedComponent,
         fam = lambda i: (lambda sc: (sc[0], modify(sc[1])))(base(i))
     out = DiscreteKCycle(k.datum, comps, fam, k.enumeration_bound)
     if xi is None:
-        xi = _joint_polarization(out, k)
+        xi = auto_polarization(out, k)
     cert = certify(polarized_index(k, xi, window), polarized_index(out, xi, window))
     return out, cert
 
@@ -237,7 +225,7 @@ def product_cycle(a: DiscreteKCycle, b: DiscreteKCycle) -> DiscreteKCycle:
 def certify_disjoint_union(a, b, window, xi=None):
     out = disjoint_union(a, b)
     if xi is None:
-        xi = _joint_polarization(out)
+        xi = auto_polarization(out)
     before = polarized_index(a, xi, window) + polarized_index(b, xi, window)
     return out, certify(before, polarized_index(out, xi, window))
 
@@ -257,7 +245,7 @@ def certify_disk_decomposition(sign, truncation, window, xi=None):
 def certify_glue_split(component, blocks, datum, window, xi=None):
     piece0, piece1 = glue_split(component, blocks, datum)
     if xi is None:
-        xi = _joint_polarization(piece0, piece1)
+        xi = auto_polarization(piece0, piece1)
     before = FormalCharacter.from_weight_polynomial(
         datum, closed_index(component, datum), window)
     after = polarized_index(piece0, xi, window) + polarized_index(piece1, xi, window)
@@ -267,7 +255,7 @@ def certify_glue_split(component, blocks, datum, window, xi=None):
 def certify_product(a, b, window, xi=None):
     out = product_cycle(a, b)
     if xi is None:
-        xi = _joint_polarization(out)
+        xi = auto_polarization(out)
     from .characters import decompose, formal_multiply
 
     margin = 0
@@ -282,5 +270,5 @@ def compare_cycles(a, b, window, xi=None) -> RewriteCertificate:
     if a.datum != b.datum:
         raise DatumMismatch(f"{a.datum} vs {b.datum}")
     if xi is None:
-        xi = _joint_polarization(a, b)
+        xi = auto_polarization(a, b)
     return certify(polarized_index(a, xi, window), polarized_index(b, xi, window))

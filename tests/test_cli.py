@@ -132,6 +132,22 @@ def test_moves_glue_split(files, capsys):
     assert len(doc["result"]) == 2
 
 
+@pytest.mark.parametrize("fields", [
+    {"move": "disk_decomposition", "sign": 1.7, "truncation": 3.9, "window": 4.5},
+    {"move": "disk_decomposition", "sign": True, "truncation": 3, "window": 4},
+    {"move": "glue_split", "blocks": [[0], [1.0]]},
+    {"move": "glue_split", "blocks": [[0], [1]], "component": 0.0},
+])
+def test_moves_non_integer_fields_are_input_errors(files, capsys, fields):
+    # int() would truncate each to a valid move (sign 1, truncation 3,
+    # window 4, block [1], component 0) with a true verdict
+    k = kq.DiscreteKCycle(T1, ((1, kq.o_sphere(2)),))
+    req = {"cycle": k.to_dict(), **fields} if fields["move"] == "glue_split" else fields
+    status, out = run(capsys, "moves", files("mv.json", req))
+    assert status == 1
+    assert set(json.loads(out)) == {"error", "detail"}
+
+
 def test_moves_unknown_move(files, capsys):
     path = files("mv.json", {"move": "teleport"})
     status, out = run(capsys, "moves", path)

@@ -172,6 +172,12 @@ def _on_wall(m, target):
                for sub in itertools.combinations(m.weights, size))
 
 
+def _qr_counts(m, window):
+    """{gamma: (q_red, regular)} of verify_qr on a copy of m with its own counter."""
+    rows = kq.verify_qr(kq.LinearModel.from_dict(m.to_dict()), window).rows
+    return {r.gamma: (r.q_red, r.regular) for r in rows}
+
+
 def test_reduction_matches_naive_enumeration():
     rng = random.Random(41)
     corpus = [(random_proper_model(rng, max_d=4, max_r=3, entry=2), 3)
@@ -191,30 +197,66 @@ def test_reduction_matches_naive_enumeration():
         expected = _naive_reduction(m, window)
         got = {g: tuple(kq.reduction_multiplicity(m, g)) for g in expected}
         assert got == expected, m.to_dict()
+        assert _qr_counts(m, window) == expected, m.to_dict()
+
+
+# Drawn by hand, not by chance: collinear, planar and repeated weights,
+# fewer distinct weights than rank - 1 (walls with several normals),
+# weights generating a group of index > 1 in their span (cyclic or not,
+# simplicial or not) or of index 1, rank 1, and no weights at all.
+_DEGENERATE = [
+    ([(1,)], (0,)),
+    ([(2,), (3,), (2,)], (-1,)),
+    ([(-3,)], (1,)),
+    ([(1, 1), (2, 2)], (0, 1)),
+    ([(2, 4), (4, 8)], (1, 0)),
+    ([(1, 0), (1, 0), (0, 1)], (-1, 0)),
+    ([(2, 0), (0, 2)], (1, 0)),
+    ([(2, 0), (0, 2), (2, 2)], (0, 0)),
+    ([(1, 1), (1, -2)], (0, 1)),
+    ([(1, 0), (1, 1), (0, 1)], (0, -1)),
+    ([(1, 1, 1)], (0, 0, 0)),
+    ([(2, 0, 2), (2, 0, 2)], (0, 1, 0)),
+    ([(1, 0, 0), (1, 0, 0)], (0, 1, -1)),
+    ([(1, 2, 0), (2, 4, 0)], (0, 0, 0)),
+    ([(1, 0, 1), (0, 2, 0), (1, 2, 1)], (0, 0, 1)),
+    ([(1, 0, 0), (2, 0, 0), (0, 1, 0)], (-1, 0, 0)),
+    ([(1, 1, 0), (2, 2, 0), (0, 0, 1), (0, 0, 3)], (0, -1, 0)),
+    ([(1, 1, 0), (1, 1, 0), (0, 0, 2)], (1, 1, 0)),
+    ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], (0, 0, 0)),
+    ([(1, 0, 0), (0, 2, 0), (0, 0, 3)], (0, -1, 1)),
+]
 
 
 def test_regular_flag_on_degenerate_models():
-    # drawn by hand, not by chance: collinear and repeated weights, fewer
-    # distinct weights than rank - 1, rank 1, and no weights at all
-    models = [
-        kq.linear_model([(1,)], (0,)),
-        kq.linear_model([(2,), (3,), (2,)], (-1,)),
-        kq.linear_model([(1, 1), (2, 2)], (0, 1)),
-        kq.linear_model([(1, 0), (1, 0), (0, 1)], (-1, 0)),
-        kq.linear_model([(1, 1, 1)], (0, 0, 0)),
-        kq.linear_model([(1, 0, 0), (1, 0, 0)], (0, 1, -1)),
-        kq.linear_model([(1, 2, 0), (2, 4, 0)], (0, 0, 0)),
-        kq.linear_model([(1, 0, 0), (2, 0, 0), (0, 1, 0)], (-1, 0, 0)),
-        kq.linear_model([(1, 1, 0), (2, 2, 0), (0, 0, 1), (0, 0, 3)], (0, -1, 0)),
-    ]
-    for m in models:
+    for weights, shift in _DEGENERATE:
+        m = kq.linear_model(weights, shift)
         expected = _naive_reduction(m, 3)
         got = {g: tuple(kq.reduction_multiplicity(m, g)) for g in expected}
         assert got == expected, m.to_dict()
-    empty = kq.linear_model([], (1, -1, 0))
-    for gamma in kq.dominant_window(empty.datum, 2):
-        assert kq.reduction_multiplicity(empty, gamma).regular == (
-            not _on_wall(empty, [g - c for g, c in zip(gamma, empty.shift)]))
+        assert _qr_counts(m, 3) == expected, m.to_dict()
+    for shift in ((1, -1, 0), (0, 1), (2,)):
+        empty = kq.linear_model([], shift)
+        expected = {g: (int(g == shift), not _on_wall(empty, [a - b for a, b in zip(g, shift)]))
+                    for g in kq.dominant_window(empty.datum, 2)}
+        assert {g: tuple(kq.reduction_multiplicity(empty, g)) for g in expected} == expected
+        assert _qr_counts(empty, 2) == expected
+
+
+def test_window_pass_matches_single_weight_counts():
+    from kquant.linear_models import _NONE
+    rng = random.Random(53)
+    models = [random_proper_model(rng, max_d=5, max_r=3, entry=3) for _ in range(36)]
+    models += [kq.linear_model(w, c) for w, c in _DEGENERATE]
+    models += [kq.linear_model([], c) for c in ((1, -1, 0), (0, 1), (2,))]
+    for m in models:
+        for window in range(5):
+            single = [kq.reduction_multiplicity(m, g)
+                      for g in kq.dominant_window(m.datum, window)]
+            # a fresh counter packs for this window first
+            got = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
+            assert got == single, (m.to_dict(), window)
+            assert all(r is _NONE[r.regular] for r in got if not r.count)
 
 
 def _normal(vectors, rank):

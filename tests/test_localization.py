@@ -187,11 +187,16 @@ def test_auto_polarization_generic():
     rng = random.Random(3)
     for _ in range(10):
         k = random_closed_cycle_t2(rng)
+        other = random_closed_cycle_t2(rng)
         xi = kq.auto_polarization(k)
         for _, comp in k.components:
             for p in comp.fixed_points:
                 for w in p.tangent_weights:
                     assert sum(a * b for a, b in zip(w, xi)) != 0
+        # several cycles: the base covers the largest tangent coordinate of all
+        big = max(abs(x) for c in (k, other) for _, comp in c.components
+                  for p in comp.fixed_points for w in p.tangent_weights for x in w)
+        assert kq.auto_polarization(k, other) == (1, big + 1)
 
 
 def test_family_quantizes_the_disk():

@@ -136,3 +136,11 @@ def test_non_integers_are_rejected_not_truncated():
         kq.FormalCharacter.from_dict(T1, {"window": 2.5, "terms": terms})
     with pytest.raises(TypeError):
         kq.FormalCharacter.from_dict(T1, {"window": 2, "terms": [{"weight": [0], "mult": 0.5}]})
+    for sign in (1.0, True, Fraction(1)):
+        with pytest.raises(TypeError):
+            kq.DiscreteKCycle(T1, ((sign, kq.f_sphere(1)),))
+        family = kq.DiscreteKCycle(T1, (), lambda i: (sign, kq.f_sphere(i)), enumeration_bound=3)
+        with pytest.raises(TypeError):
+            family.materialized()
+        with pytest.raises(TypeError):
+            list(family.iter_certified((1,), 5))
