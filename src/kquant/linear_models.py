@@ -24,16 +24,22 @@ Two independent routes compute the same invariant:
   divisibility and sign test, the packed normals, the group functionals)
   is built on the first call for a model and kept on it; it reads only
   the weights, the shift and the Farkas vector, and shares no cache with
-  the series route.  The same setup counts a whole window in one pass.  The separation result
-  behind check_proper and farkas_vector, found by integer Cramer solves,
-  is kept on the model too, so it dies with the model.
+  the series route.  The same setup counts a whole window in one pass.
+  The separation result behind check_proper and farkas_vector is kept
+  on the model too, so it dies with the model.
 
-verify_qr compares them weight by weight, counting the window in one pass.  vanishing_decomposition
-solves V^mu = 0 exactly: on the stratum where exactly the coordinates
-in S are nonzero the condition is <w_j, mu(z)> = 0 for j in S, a linear
-system in the action variables a_j = |z_j|^2 / 2 whose solution set is a
-rational polytope; connected components of the full zero set are
-obtained by gluing strata whose closures touch.
+verify_qr compares them weight by weight, counting the window in one
+pass.  vanishing_decomposition solves V^mu = 0 exactly: on the stratum
+where exactly the coordinates in S are nonzero the condition is
+<w_j, mu(z)> = 0 for j in S, a linear system in the action variables
+a_j = |z_j|^2 / 2 whose solution set is a rational polytope; connected
+components of the full zero set are obtained by gluing strata whose
+closures touch.
+
+Every determinant, square solve and nullspace here (separation, the
+counter's adjugate and walls, stratum vertices, stabilizers) is the
+integer fraction-free elimination of _exact; results become Fractions
+only as outputs (the min-norm winner, vertices, mu values).
 """
 
 from __future__ import annotations
@@ -46,11 +52,12 @@ from fractions import Fraction
 from operator import mul, sub as minus
 from typing import NamedTuple
 
+from ._exact import cramer_kit, lattice_tests, nullspace, solve
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
                      WindowExhausted)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
-                           _int_nullspace, normalize_polarization, polarized_index)
+                           normalize_polarization, polarized_index)
 from .root_data import (RootDatum, as_int, build_root_datum, dominant_window,
                         dot, neg, sub)
 
@@ -112,31 +119,6 @@ def linear_model(weights, shift) -> LinearModel:
                        tuple(tuple(w) for w in weights), tuple(shift))
 
 
-# ---------------------------------------------------------------- exact LA
-
-def _solve_unique(mat, rhs):
-    """Solve a square Fraction system; None when singular."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-def _nullspace_int(rows, width):
-    """Primitive integer basis of {x : row . x = 0}; first nonzero entries > 0."""
-    return [v if next(filter(None, v)) > 0 else neg(v) for v in _int_nullspace(rows, width)]
-
-
 def _min_norm_in_hull(points, rank):
     """Minimum-norm point of conv(points) with its convex certificate.
 
@@ -145,9 +127,11 @@ def _min_norm_in_hull(points, rank):
     to one.  Enumerates affinely independent subsets of size <= rank+1,
     which always contain the optimal face (Caratheodory), in a fixed
     order, keeping the first of equal norms.  Each subset's Gram system
-    is solved in integers by Cramer's rule over one determinant g > 0
-    (g = 0 exactly when the subset is affinely dependent), so g * x and
-    g * lam are integer vectors; only the winner becomes Fractions.
+    is one integer solve (_exact.solve): its determinant g > 0 (g = 0
+    exactly when the subset is affinely dependent) and the Cramer
+    numerators, so g * x and g * lam are integer vectors, norms are
+    compared by cross-multiplication and only the winner becomes
+    Fractions.
     """
     pts = sorted(set(map(tuple, points)))
     best = None
@@ -156,21 +140,18 @@ def _min_norm_in_hull(points, rank):
             s0 = subset[0]
             vs = [sub(p, s0) for p in subset[1:]]
             gram = [[dot(u, v) for v in vs] for u in vs]
-            g = _int_det(gram)
+            g, ys = solve(gram, [-dot(s0, v) for v in vs])
             if not g:
                 continue
-            rhs = [-dot(s0, v) for v in vs]
-            ys = [_int_det([row[:i] + [r] + row[i + 1:] for row, r in zip(gram, rhs)])
-                  for i in range(size - 1)]
-            lam = [g - sum(ys)] + ys
+            lam = [g - sum(ys), *ys]
             if min(lam) < 0:
                 continue
             x = tuple(g * s + sum(y * v[k] for y, v in zip(ys, vs))
                       for k, s in enumerate(s0))
-            norm = Fraction(dot(x, x), g * g)
-            if best is None or norm < best[0]:
-                best = (norm, x, g, subset, lam)
-    _, x, g, used, lam = best
+            norm = dot(x, x)
+            if best is None or norm * best[1] ** 2 < best[0] * g * g:
+                best = (norm, g, x, subset, lam)
+    _, g, x, used, lam = best
     return (tuple(Fraction(c, g) for c in x), list(used),
             [Fraction(c, g) for c in lam])
 
@@ -226,74 +207,8 @@ def _wall_normals(weights, rank):
     distinct = sorted(set(weights))
     walls = {}
     for subset in itertools.combinations(distinct, min(len(distinct), rank - 1)):
-        walls[tuple(sorted(_nullspace_int(subset, rank)))] = True
+        walls[tuple(sorted(nullspace(subset, rank)))] = True
     return list(walls)
-
-
-def _int_det(mat):
-    """Determinant of a small integer matrix by cofactor expansion."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = 0
-    for j in range(n):
-        if mat[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-            total += (-1) ** j * mat[0][j] * _int_det(minor)
-    return total
-
-
-def _cramer_kit(cols, rank):
-    """Row choice making the column system square and invertible.
-
-    Returns (rowset, matrix, det) for a full-column-rank integer system,
-    or None when the columns are dependent or too many.
-    """
-    k = len(cols)
-    if k > rank:
-        return None
-    for rowset in itertools.combinations(range(rank), k):
-        mat = [[cols[i][t] for i in range(k)] for t in rowset]
-        d = _int_det(mat)
-        if d:
-            return rowset, mat, d
-    return None
-
-
-def _lattice_tests(weights, rank):
-    """Functionals deciding membership in the group the weights generate.
-
-    Unimodular row operations P and column operations bring the rank x d
-    matrix of the weights to diagonal form diag(e_0, ..., e_{s-1}, 0, ...),
-    so x is in the group iff P x is in the group of that form: row t >= s
-    of P must vanish on x (the span) and row t < s must vanish modulo
-    |e_t| (the lattice inside the span).  Returns (row, modulus) pairs,
-    modulus 0 for the span; a modulus 1 needs no test.
-    """
-    d = len(weights)
-    a = [[w[t] for w in weights] + [int(s == t) for s in range(rank)] for t in range(rank)]
-    p = 0
-    while nz := [(abs(r[j]), i, j) for i, r in enumerate(a[p:], p) for j in range(p, d) if r[j]]:
-        _, i, j = min(nz)  # the smallest entry left becomes the pivot
-        a[p], a[i] = a[i], a[p]
-        for r in a:
-            r[p], r[j] = r[j], r[p]
-        piv = a[p]
-        for r in a[p + 1:]:
-            q = r[p] // piv[p]
-            r[:] = [x - q * y for x, y in zip(r, piv)]
-        for j in range(p + 1, d):
-            q = piv[j] // piv[p]
-            for r in a:
-                r[j] -= q * r[p]
-        # remainders left in the pivot's row or column: pivot again on a smaller one
-        p += not (any(r[p] for r in a[p + 1:]) or any(piv[p + 1:d]))
-    return tuple((tuple(r[d:]), abs(r[t]) if t < p else 0)
-                 for t, r in enumerate(a) if t >= p or abs(r[t]) > 1)
 
 
 def _box_sums(v, base, axes):
@@ -333,7 +248,7 @@ class _LatticeCounter:
 
     Lattice.  A nonzero count needs gamma - c in the group the weights
     generate; `lattice` holds the functionals that decide it (see
-    _lattice_tests).  With no leading weights and k == rank (see below)
+    _exact.lattice_tests).  With no leading weights and k == rank (see below)
     the cone is simplicial and the cone and lattice tests are exact, so
     a target passing both counts 1 with no Cramer rows.
 
@@ -367,27 +282,17 @@ class _LatticeCounter:
         self.weights, self.shift = m.weights, m.shift
         self.xi = xi = farkas_vector(m)
         ws = sorted(m.weights, key=lambda w: -dot(w, xi))
-        free = len(ws)
-        kit = _cramer_kit((), rank)
-        while free > 0:
-            nxt = _cramer_kit(ws[free - 1:], rank)
-            if nxt is None:
-                break
-            free -= 1
-            kit = nxt
-        rows, mat, det = kit
+        # the longest linearly independent suffix of the order
+        free = next(f for f in range(len(ws) + 1) if cramer_kit(ws[f:], rank))
+        rows, mat, det = cramer_kit(ws[free:], rank)
         suffix = ws[free:]
         sign = 1 if det > 0 else -1
         self.det = det * sign
         self.k = len(suffix)
-        leaf = []
-        for i in range(self.k):
-            # row i of sign * adj(mat): Cramer's rule on the unit columns
-            adj = [sign * _int_det([row[:i] + [int(s == t)] + row[i + 1:]
-                                    for s, row in enumerate(mat)])
-                   for t in range(self.k)]
-            leaf.append(tuple(adj[rows.index(c)] if c in rows else 0
-                              for c in range(rank)))
+        # column t of adj(mat) is det * mat^{-1} e_t; leaf row i is row i of sign * adj
+        adj = [solve(mat, [int(s == t) for s in range(self.k)])[1] for t in range(self.k)]
+        leaf = [tuple(sign * adj[rows.index(c)][i] if c in rows else 0 for c in range(rank))
+                for i in range(self.k)]
         leaf += [tuple(self.det * (c == r) - sum(n[c] * w[r] for n, w in zip(leaf, suffix))
                        for c in range(rank))
                  for r in range(rank) if r not in rows]
@@ -396,7 +301,7 @@ class _LatticeCounter:
                            for w in ws[:free])
         self.period = (self.det // math.gcd(self.det, *self.steps[-1][0][:self.k])
                        if self.steps else 1)
-        self.lattice = _lattice_tests(m.weights, rank)
+        self.lattice = lattice_tests(m.weights, rank)
         self.reach = -1  # nothing packed yet
 
     def _pack(self, reach):
@@ -539,29 +444,28 @@ class VanishingComponent:
 
 
 def _stratum_vertices(m: LinearModel, support):
-    """Vertices of {a >= 0 on support : <w_i, mu> = 0 for i in support}."""
+    """Vertices of {a >= 0 on support : <w_i, mu> = 0 for i in support}.
+
+    A vertex solves the Gram subsystem of its nonzero coordinates, which
+    is singular above m.rank columns (W_S^T W_S has rank <= m.rank).  Each
+    is one integer solve with det g > 0, a principal minor of a Gram matrix,
+    so the checks run on g * a; only the vertices become Fractions.
+    """
     ws = [m.weights[j] for j in support]
     k = len(ws)
     gram = [[dot(u, v) for v in ws] for u in ws]
     rhs = [-dot(u, m.shift) for u in ws]
     verts = set()
-    for size in range(0, k + 1):
+    for size in range(min(k, m.rank) + 1):
         for cols in itertools.combinations(range(k), size):
-            if size == 0:
-                if all(x == 0 for x in rhs):
-                    verts.add((Fraction(0),) * k)
+            g, gx = solve([[gram[i][c] for c in cols] for i in cols], [rhs[i] for i in cols])
+            if not g or min(gx, default=0) < 0:
                 continue
-            sq = [[gram[i][c] for c in cols] for i in cols]
-            sol = _solve_unique(sq, [rhs[i] for i in cols])
-            if sol is None or any(x < 0 for x in sol):
-                continue
-            full = [Fraction(0)] * k
-            for c, x in zip(cols, sol):
-                full[c] = x
             # candidate must satisfy every equation, not just the chosen ones
-            if all(sum(gram[i][j] * full[j] for j in range(k)) == rhs[i]
-                   for i in range(k)):
-                verts.add(tuple(full))
+            if all(sum(row[c] * x for c, x in zip(cols, gx)) == g * r
+                   for row, r in zip(gram, rhs)):
+                at = dict(zip(cols, gx))
+                verts.add(tuple(Fraction(at.get(c, 0), g) for c in range(k)))
     return sorted(verts)
 
 
@@ -622,7 +526,7 @@ def vanishing_decomposition(m: LinearModel):
         if len(mus) != 1:
             raise CertificateFailed(f"glued strata {members} disagree on the mu value")
         rows = [m.weights[j] for j in union]
-        basis = tuple(_nullspace_int(rows, m.rank))
+        basis = tuple(nullspace(rows, m.rank))
         out.append(VanishingComponent(
             support=union, strata=tuple(members), stabilizer_basis=basis,
             mu_value=mus.pop(), compact=True, mu_diameter=Fraction(0)))

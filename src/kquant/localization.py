@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._exact import nullspace, primitive
 from .characters import FormalCharacter, WeightPolynomial, exact_divide
 from .errors import (DegeneratePolarization, EnumerationUnbounded,
                      NonIsolatedFixedPoint, NotClosed,
@@ -278,14 +279,8 @@ def normalize_polarization(xi) -> tuple:
     fr = [Fraction(x) for x in xi]
     if not any(fr):
         raise DegeneratePolarization("polarization vector is zero")
-    lcm = 1
-    for f in fr:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fr]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return tuple(v // g for v in ints)
+    den = math.lcm(*(f.denominator for f in fr))
+    return primitive([f.numerator * (den // f.denominator) for f in fr])
 
 
 def auto_polarization(*cycles: DiscreteKCycle) -> tuple:
@@ -326,41 +321,6 @@ def _extraction_points(datum: RootDatum, window: int):
     return needed, plan
 
 
-def _int_nullspace(vectors, rank):
-    """Primitive integer basis of the functionals vanishing on all vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    pivots = []
-    r = 0
-    for c in range(rank):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(rank) if c not in pivots):
-        vec = [Fraction(0)] * rank
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        den = 1
-        for x in vec:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        basis.append(tuple(v // g for v in ints))
-    return basis
-
-
 def _window_guards(dirs, needed, rank, box=None):
     """Linear guards that certified window terms can never violate.
 
@@ -375,25 +335,18 @@ def _window_guards(dirs, needed, rank, box=None):
     the whole direction span, and from coordinate functionals; validity
     against a concrete suffix is re-checked by the caller before use.
     """
-    cands = set()
     uniq = sorted(set(dirs))
-    for phi in _int_nullspace(uniq, rank):
-        cands.add(phi)
-        cands.add(neg(phi))
+    phis = set(nullspace(uniq, rank))
     for size in range(1, rank):
         for subset in itertools.combinations(uniq, size):
-            ns = _int_nullspace(subset, rank)
+            ns = nullspace(subset, rank)
             if len(ns) == 1:
-                cands.add(ns[0])
-                cands.add(neg(ns[0]))
-    for t in range(rank):
-        e = tuple(1 if i == t else 0 for i in range(rank))
-        cands.add(e)
-        cands.add(neg(e))
-    cands.discard(tuple([0] * rank))
+                phis.add(ns[0])
+    phis.update(tuple(int(i == t) for i in range(rank)) for t in range(rank))
+    cands = sorted(phis | {neg(phi) for phi in phis})  # both signs of each
     if box is not None:
-        return [(phi, box * sum(map(abs, phi))) for phi in sorted(cands)]
-    return [(phi, max(dot(v, phi) for v in needed)) for phi in sorted(cands)]
+        return [(phi, box * sum(map(abs, phi))) for phi in cands]
+    return [(phi, max(dot(v, phi) for v in needed)) for phi in cands]
 
 
 def _expand_point(p: FixedPointDatum, xi, maxpair, needed, box):

@@ -1,10 +1,12 @@
-"""Shared corpus builders for the test suite.
+"""Shared corpus builders and exact references for the test suite.
 
 Random data is always drawn from a seeded Random instance passed in by
 the caller, so every test run sees the same corpus.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import kquant as kq
 
@@ -74,9 +76,10 @@ def random_formal_character(rng, datum, window, regular_only=False):
     return kq.FormalCharacter(datum, window, coeffs)
 
 
-def random_proper_model(rng, max_d=5, max_r=3, entry=3):
-    r = rng.randint(1, max_r)
-    d = rng.randint(1, max_d)
+def random_proper_model(rng, max_d=5, max_r=3, entry=3, r=None, d=None):
+    """A proper model; rank r and weight count d are drawn unless given."""
+    r = rng.randint(1, max_r) if r is None else r
+    d = rng.randint(1, max_d) if d is None else d
     while True:
         ws = []
         while len(ws) < d:
@@ -87,3 +90,54 @@ def random_proper_model(rng, max_d=5, max_r=3, entry=3):
         m = kq.linear_model(ws, shift)
         if kq.check_proper(m):
             return m
+
+
+def fraction_rref(rows, ncols):
+    """(reduced rows, pivot columns) by Gauss-Jordan elimination over Fraction.
+
+    Pivots on the first ncols columns only, taking the first nonzero
+    entry of each column; an independent reference for kquant._exact.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def fraction_solve(mat, rhs):
+    """The unique Fraction solution of a square system, or None when singular."""
+    n = len(mat)
+    a, pivots = fraction_rref([[*row, b] for row, b in zip(mat, rhs)], n)
+    return [row[n] for row in a] if len(pivots) == n else None
+
+
+def fraction_nullspace(rows, width):
+    """Primitive integer nullspace basis, first nonzero entries > 0, via Fraction."""
+    a, pivots = fraction_rref(rows, width)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for row, pc in zip(a, pivots):
+            vec[pc] = -row[f]
+        den = 1
+        for x in vec:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        ints = [int(x * den) for x in vec]
+        g = 0
+        for v in ints:
+            g = math.gcd(g, v)
+        vec = [v // g for v in ints]
+        basis.append(tuple(vec) if next(filter(None, vec)) > 0 else tuple(-v for v in vec))
+    return basis

@@ -1,0 +1,125 @@
+"""The integer linear-algebra core against independent references.
+
+det is checked against the Leibniz formula, solve and nullspace against
+Gauss-Jordan elimination over Fraction (helpers.fraction_rref).  Entries
+reach 10**20, so a Bareiss division that was not exact would show.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kquant._exact import cramer_kit, det, nullspace, primitive, solve
+from helpers import fraction_nullspace, fraction_solve
+
+BIG = 10 ** 20
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+
+
+def leibniz_det(mat):
+    total = 0
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(mat, perm))
+    return total
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """A rows x cols integer matrix: entries drawn freely, or a product of
+    two factors through a random inner size, so rank deficiency is common."""
+    if draw(st.booleans()):
+        return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    inner = draw(st.integers(0, max(rows, cols)))
+    factor = st.integers(-10 ** 10, 10 ** 10) | st.integers(-2, 2)
+    left = [[draw(factor) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(factor) for _ in range(cols)] for _ in range(inner)]
+    return [[sum(x * right[t][c] for t, x in enumerate(row)) for c in range(cols)]
+            for row in left]
+
+
+@st.composite
+def square(draw, top=5):
+    n = draw(st.integers(0, top))
+    return draw(matrices(n, n))
+
+
+@st.composite
+def systems(draw):
+    mat = draw(square())
+    return mat, [draw(ENTRIES) for _ in mat]
+
+
+@st.composite
+def rectangles(draw):
+    """Wide, tall and square inputs for nullspace: up to 6 rows, width 0-6."""
+    return draw(matrices(draw(st.integers(0, 6)), draw(st.integers(0, 6))))
+
+
+def test_edge_cases():
+    assert det([]) == 1 and solve([], []) == (1, ())
+    assert det([[7]]) == 7 and det([[0]]) == 0
+    assert solve([[-3]], [6]) == (-3, (6,))
+    assert solve([[0]], [1]) == (0, None)
+    assert nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert nullspace([[0, 0]], 2) == [(1, 0), (0, 1)]
+    assert nullspace([[5]], 1) == [] and nullspace([[0]], 1) == [(1,)]
+    assert nullspace([[2, -4]], 2) == [(2, 1)]
+    assert nullspace([[1, 2, 3]], 0) == []
+    assert primitive((-4, 6, 0)) == (-2, 3, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square())
+def test_det_matches_leibniz(mat):
+    assert det(mat) == leibniz_det(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_solve_matches_fraction_elimination(system):
+    mat, rhs = system
+    g, gx = solve(mat, rhs)
+    ref = fraction_solve(mat, rhs)
+    if ref is None:
+        assert (g, gx) == (0, None)
+    else:
+        assert g == leibniz_det(mat)
+        assert [Fraction(x, g) for x in gx] == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangles())
+def test_nullspace_matches_fraction_elimination(mat):
+    width = len(mat[0]) if mat else 4
+    basis = nullspace(mat, width)
+    assert basis == fraction_nullspace(mat, width)
+    for v in basis:
+        assert math.gcd(*v) == 1 and next(filter(None, v)) > 0
+        assert all(sum(map(int.__mul__, row, v)) == 0 for row in mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda rank: st.tuples(
+    st.integers(0, 4).flatmap(lambda k: matrices(k, rank)), st.just(rank))))
+def test_cramer_kit_takes_the_first_invertible_row_choice(case):
+    cols, rank = case  # k columns of length rank, k > rank included
+    first = next((rows for rows in itertools.combinations(range(rank), len(cols))
+                  if leibniz_det([[c[t] for c in cols] for t in rows])), None)
+    kit = cramer_kit(cols, rank)
+    if first is None:
+        assert kit is None
+    else:
+        mat = [[c[t] for c in cols] for t in first]
+        assert kit == (first, mat, leibniz_det(mat))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ENTRIES, min_size=1, max_size=6).filter(any), st.integers(1, BIG))
+def test_primitive_divides_out_the_content(v, k):
+    p = primitive([k * x for x in v])
+    assert math.gcd(*p) == 1
+    assert [x * math.gcd(*v) for x in p] == v

@@ -2,12 +2,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 
 import kquant as kq
-from helpers import T1, random_proper_model
+from helpers import T1, fraction_solve, random_proper_model
 
 WP = kq.WeightPolynomial
 
@@ -552,10 +553,58 @@ def test_vanishing_requires_proper():
         kq.vanishing_decomposition(kq.linear_model([(1,), (-1,)], (0,)))
 
 
+def _wide_models():
+    """Proper models with more weights than rank (rank 1-3, 4-7 weights),
+    shifted by minus a sum of three weights so that mu = 0 is reached."""
+    rng = random.Random(34)
+    out = []
+    for r, d in ((1, 4), (1, 6), (2, 5), (2, 7), (3, 4), (3, 6), (3, 7)):
+        ws = random_proper_model(rng, r=r, d=d).weights
+        out.append(kq.linear_model(ws, tuple(-sum(c) for c in zip(*rng.choices(ws, k=3)))))
+    return out
+
+
+def _uncapped_vertices(m, support):
+    """Stratum vertices from every column subset, each solved over Fraction."""
+    ws = [m.weights[j] for j in support]
+    k = len(ws)
+    gram = [[sum(map(mul, u, v)) for v in ws] for u in ws]
+    rhs = [-sum(map(mul, u, m.shift)) for u in ws]
+    verts = set()
+    for size in range(k + 1):
+        for cols in itertools.combinations(range(k), size):
+            sol = fraction_solve([[gram[i][c] for c in cols] for i in cols],
+                                 [rhs[i] for i in cols])
+            if sol is None or any(x < 0 for x in sol):
+                continue
+            full = [Fraction(0)] * k
+            for c, x in zip(cols, sol):
+                full[c] = x
+            if all(sum(map(mul, row, full)) == r for row, r in zip(gram, rhs)):
+                verts.add(tuple(full))
+    return sorted(verts)
+
+
+def test_stratum_vertices_match_uncapped_enumeration():
+    # only column sets of size <= rank are solved; larger Gram subsystems
+    # are singular, so every support must give the same vertex list
+    from kquant.linear_models import _stratum_vertices
+
+    nonzero = 0
+    for m in _wide_models():
+        d = len(m.weights)
+        for support in itertools.chain.from_iterable(
+                itertools.combinations(range(d), size) for size in range(d + 1)):
+            verts = _stratum_vertices(m, support)
+            assert verts == _uncapped_vertices(m, support), (m.to_dict(), support)
+            nonzero += sum(any(v) for v in verts)
+    assert nonzero > 100
+
+
 def test_vanishing_random_corpus_compact_and_pinned():
     rng = random.Random(32)
-    for _ in range(20):
-        m = random_proper_model(rng, max_d=4, max_r=2)
+    models = [random_proper_model(rng, max_d=4, max_r=2) for _ in range(20)]
+    for m in models + _wide_models():
         comps = kq.vanishing_decomposition(m)
         assert comps, "origin stratum always present"
         supports = [c.support for c in comps]
