@@ -28,13 +28,17 @@ Two independent routes compute the same invariant:
   The separation result behind check_proper and farkas_vector is kept
   on the model too, so it dies with the model.
 
-verify_qr compares them weight by weight, counting the window in one
-pass.  vanishing_decomposition solves V^mu = 0 exactly: on the stratum
+verify_qr counts the window in one pass and compares the two routes as
+sparse maps, {weight: nonzero series coefficient} against {weight:
+nonzero count}, which are equal exactly when the routes agree at every
+weight of the window; its report expands the maps into rows only when
+asked.  vanishing_decomposition solves V^mu = 0 exactly: on the stratum
 where exactly the coordinates in S are nonzero the condition is
 <w_j, mu(z)> = 0 for j in S, a linear system in the action variables
 a_j = |z_j|^2 / 2 whose solution set is a rational polytope; connected
 components of the full zero set are obtained by gluing strata whose
-closures touch.
+closures touch; the components are kept on the model for
+check_compatibility.
 
 Every determinant, square solve and nullspace here (separation, the
 counter's adjugate and walls, stratum vertices, stabilizers) is the
@@ -100,6 +104,11 @@ class LinearModel:
     @functools.cached_property
     def _counter(self) -> "_LatticeCounter":
         return _LatticeCounter(self)
+
+    @functools.cached_property
+    def _components(self) -> tuple:
+        """The components behind vanishing_decomposition and check_compatibility."""
+        return _vanishing_components(self)
 
     def to_dict(self):
         return {"rank": self.rank,
@@ -227,9 +236,6 @@ class ReductionCount(NamedTuple):
     regular: bool
 
 
-_NONE = (ReductionCount(0, False), ReductionCount(0, True))  # zero counts by regular
-
-
 class _LatticeCounter:
     """Per-model setup of the counting route; see reduction_multiplicity.
 
@@ -257,7 +263,8 @@ class _LatticeCounter:
     reach, builds the packed, thick-wall and lattice pairings of every
     point by incremental sums along the axes (_box_sums), and solves only
     the targets inside the cone that pass the lattice test, each on its
-    own; every other point gets one of the two shared zero counts.
+    own.  It returns two columns: a regular flag per point and a dict of
+    the nonzero counts only, so a zero count costs no object.
 
     Counting.  The weights are sorted by decreasing Farkas pairing.  The
     longest linearly independent suffix of that order has at most one
@@ -326,14 +333,20 @@ class _LatticeCounter:
         self.cone, self.thick, self.reach = cone, tuple(thick), reach
 
     def count(self, gamma) -> ReductionCount:
-        return self._counts([(g,) for g in gamma], max(map(abs, gamma)))[0]
+        (regular,), counts = self._counts([(g,) for g in gamma], max(map(abs, gamma)))
+        return ReductionCount(counts.get(gamma, 0), regular)
 
-    def window(self, w) -> list:
-        """count(gamma) for every gamma of [-w, w]^rank, in dominant_window order."""
+    def window(self, w):
+        """(regular, counts) on [-w, w]^rank; see _counts."""
         return self._counts([range(-w, w + 1)] * len(self.shift), w)
 
     def _counts(self, axes, reach):
-        """count(gamma) for every gamma of product(*axes), all |gamma_t| <= reach."""
+        """(regular, counts) on product(*axes), all |gamma_t| <= reach.
+
+        regular holds one flag per point, in product order (for a window,
+        dominant_window order); counts maps each gamma with a nonzero
+        count to that count and holds no other key.
+        """
         if self.reach < reach:
             self._pack(reach)
         half, ones, cone, c0 = self.half, self.ones, self.cone, self.shift
@@ -346,22 +359,20 @@ class _LatticeCounter:
         for n, m in self.lattice:
             vs = _box_sums(n, -dot(n, c0), axes)
             inside = [a and not (v % m if m else v) for a, v in zip(inside, vs)]
-        out = [_NONE[r] for r in regular]
-        for i, gamma in itertools.compress(enumerate(itertools.product(*axes)), inside):
-            out[i] = self._solve(tuple(map(minus, gamma, c0)), regular[i])
-        return out
+        counts = {}
+        for gamma in itertools.compress(itertools.product(*axes), inside):
+            if n := self._solve(tuple(map(minus, gamma, c0))):
+                counts[gamma] = n
+        return regular, counts
 
-    def _solve(self, target, regular):
+    def _solve(self, target) -> int:
         """The count of a target inside the cone and the group of the weights."""
         if not self.steps and self.k == len(target):
-            n = 1  # simplicial: the cone and lattice tests were exact
-        else:
-            y = tuple(sum(map(mul, row, target)) for row in self.leaf)
-            if self.steps:  # a budget < 0 leaves the search nothing to visit
-                n = self._search(0, y, sum(map(mul, target, self.xi)))
-            else:  # the leaf test is the count: a = 0 on a zero step
-                n = self._last(y, 0, (0,) * len(y))
-        return ReductionCount(n, regular) if n else _NONE[regular]
+            return 1  # simplicial: the cone and lattice tests were exact
+        y = tuple(sum(map(mul, row, target)) for row in self.leaf)
+        if self.steps:  # a budget < 0 leaves the search nothing to visit
+            return self._search(0, y, sum(map(mul, target, self.xi)))
+        return self._last(y, 0, (0,) * len(y))  # the leaf test is the count: a = 0 on a zero step
 
     def _search(self, j, y, b):
         step, pw = self.steps[j]
@@ -469,14 +480,20 @@ def _stratum_vertices(m: LinearModel, support):
     return sorted(verts)
 
 
-def vanishing_decomposition(m: LinearModel):
+def vanishing_decomposition(m: LinearModel) -> list:
     """Connected components of V^mu = 0, exactly, for a proper model.
 
     Enumerates the 2^d coordinate supports, solves each stratum's
     rational system, and glues strata whose closures touch.  Mu is
     pinned to one value per component; all components of a proper model
-    are compact, which is certified by the Farkas vector.
+    are compact, which is certified by the Farkas vector.  The
+    components are computed once per model and kept on it; each call
+    returns a fresh list of them.
     """
+    return list(m._components)
+
+
+def _vanishing_components(m: LinearModel) -> tuple:
     farkas_vector(m)  # NotProper for improper models
     d = len(m.weights)
     strata = {}
@@ -531,7 +548,7 @@ def vanishing_decomposition(m: LinearModel):
             support=union, strata=tuple(members), stabilizer_basis=basis,
             mu_value=mus.pop(), compact=True, mu_diameter=Fraction(0)))
     out.sort(key=lambda comp: (len(comp.support), comp.support))
-    return out
+    return tuple(out)
 
 
 def check_compatibility(m: LinearModel, phi_offset, bound) -> bool:
@@ -545,7 +562,7 @@ def check_compatibility(m: LinearModel, phi_offset, bound) -> bool:
     bound = Fraction(bound)
     offsets = {tuple(sorted(k)): tuple(Fraction(x) for x in v)
                for k, v in dict(phi_offset).items()}
-    for comp in vanishing_decomposition(m):
+    for comp in m._components:
         if comp.support not in offsets:
             raise NotOnVanishingSet(f"no deviation given on component {comp.support}")
         v = offsets[comp.support]
@@ -572,23 +589,45 @@ class QRRow(NamedTuple):
 
 @dataclass
 class QRReport:
-    """Per-weight comparison of the two quantization routes."""
+    """The two quantization routes on a window, kept as sparse columns.
+
+    series and counts map each weight of the window to its nonzero
+    series coefficient (q_top) and nonzero lattice count (q_red); a
+    weight absent from a map is 0 there.  regular holds one flag per
+    weight, in dominant_window order, and verdict is series == counts.
+    The rows property, to_dict and table expand the columns into one row
+    per weight of the window, in that order.
+    """
 
     model: LinearModel
     window: int
-    rows: list
+    series: dict
+    counts: dict
+    regular: list
     verdict: bool
+
+    def _cells(self):
+        """(gamma, q_top, q_red, regular) for every weight of the window."""
+        q_top, q_red = self.series.get, self.counts.get
+        for gamma, regular in zip(dominant_window(self.model.datum, self.window),
+                                  self.regular):
+            yield gamma, q_top(gamma, 0), q_red(gamma, 0), regular
+
+    @property
+    def rows(self) -> list:
+        return [QRRow(g, a, b, r, a == b) for g, a, b, r in self._cells()]
 
     def to_dict(self):
         return {"model": self.model.to_dict(), "window": self.window,
                 "verdict": self.verdict,
-                "rows": [r.to_dict() for r in self.rows]}
+                "rows": [{"gamma": list(g), "q_top": a, "q_red": b,
+                          "regular": r, "match": a == b}
+                         for g, a, b, r in self._cells()]}
 
     def table(self) -> str:
         lines = ["gamma\tq_top\tq_red\tregular\tmatch"]
-        for r in self.rows:
-            lines.append(f"{list(r.gamma)}\t{r.q_top}\t{r.q_red}"
-                         f"\t{str(r.regular).lower()}\t{str(r.match).lower()}")
+        lines += [f"{list(g)}\t{a}\t{b}\t{str(r).lower()}\t{str(a == b).lower()}"
+                  for g, a, b, r in self._cells()]
         lines.append(f"verdict\t{str(self.verdict).lower()}")
         return "\n".join(lines)
 
@@ -598,10 +637,10 @@ def verify_qr(m: LinearModel, window: int) -> QRReport:
 
     The series comes from formal_quantization, the counts of the whole
     window from one pass of the model's counter (_LatticeCounter.window),
-    equal to reduction_multiplicity at every weight.
+    equal to reduction_multiplicity at every weight.  Both hold only
+    nonzero values, on keys inside the window, so the routes agree at
+    every weight exactly when the two maps are equal.
     """
-    series = formal_quantization(m, window).coeffs.get
-    box = list(dominant_window(m.datum, window))
-    rows = [QRRow(g, q, n, r, q == n) for g, q, (n, r) in
-            zip(box, map(series, box, itertools.repeat(0)), m._counter.window(window))]
-    return QRReport(m, window, rows, all(row.match for row in rows))
+    series = formal_quantization(m, window).coeffs
+    regular, counts = m._counter.window(window)
+    return QRReport(m, window, series, counts, regular, series == counts)

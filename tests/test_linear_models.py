@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -245,19 +246,110 @@ def test_regular_flag_on_degenerate_models():
 
 
 def test_window_pass_matches_single_weight_counts():
-    from kquant.linear_models import _NONE
     rng = random.Random(53)
     models = [random_proper_model(rng, max_d=5, max_r=3, entry=3) for _ in range(36)]
     models += [kq.linear_model(w, c) for w, c in _DEGENERATE]
     models += [kq.linear_model([], c) for c in ((1, -1, 0), (0, 1), (2,))]
     for m in models:
         for window in range(5):
-            single = [kq.reduction_multiplicity(m, g)
-                      for g in kq.dominant_window(m.datum, window)]
+            box = list(kq.dominant_window(m.datum, window))
+            single = [kq.reduction_multiplicity(m, g) for g in box]
             # a fresh counter packs for this window first
-            got = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
-            assert got == single, (m.to_dict(), window)
-            assert all(r is _NONE[r.regular] for r in got if not r.count)
+            regular, counts = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
+            assert len(regular) == len(box), (m.to_dict(), window)
+            assert all(type(r) is bool for r in regular)
+            assert 0 not in counts.values(), (m.to_dict(), window)
+            assert set(counts) <= set(box), (m.to_dict(), window)
+            dense = [(counts.get(g, 0), r) for g, r in zip(box, regular)]
+            assert dense == single, (m.to_dict(), window)
+
+
+def _dense_rows(m, window):
+    """verify_qr rows built point by point from the two public routes."""
+    series = kq.formal_quantization(m, window).coeffs.get
+    rows = []
+    for gamma in kq.dominant_window(m.datum, window):
+        q_top = series(gamma, 0)
+        q_red, regular = kq.reduction_multiplicity(m, gamma)
+        rows.append(kq.QRRow(gamma, q_top, q_red, regular, q_top == q_red))
+    return rows
+
+
+def _check_report(rep, m, window, rows):
+    """rep's rows, verdict, to_dict and table all equal the dense rows."""
+    assert rep.rows == rows, (m.to_dict(), window)
+    assert rep.verdict is all(r.match for r in rows)
+    dict_rows = [{"gamma": list(r.gamma), "q_top": r.q_top, "q_red": r.q_red,
+                  "regular": r.regular, "match": r.match} for r in rows]
+    assert [r.to_dict() for r in rep.rows] == dict_rows
+    assert rep.to_dict() == {"model": m.to_dict(), "window": window,
+                             "verdict": rep.verdict, "rows": dict_rows}
+    low = lambda b: "true" if b else "false"
+    assert rep.table().split("\n") == (
+        ["gamma\tq_top\tq_red\tregular\tmatch"]
+        + [f"{list(r.gamma)}\t{r.q_top}\t{r.q_red}\t{low(r.regular)}\t{low(r.match)}"
+           for r in rows]
+        + [f"verdict\t{low(rep.verdict)}"])
+
+
+def test_columnar_report_matches_dense_reference():
+    rng = random.Random(59)
+    models = [random_proper_model(rng, max_d=5, max_r=3, entry=3, r=1 + i % 3)
+              for i in range(24)]
+    models += [kq.linear_model(w, c) for w, c in _DEGENERATE]
+    models += [kq.linear_model([], c) for c in ((1, -1, 0), (0, 1), (2,))]
+    for m in models:
+        for window in range(5):
+            rows = _dense_rows(m, window)
+            rep = kq.verify_qr(kq.LinearModel.from_dict(m.to_dict()), window)
+            _check_report(rep, m, window, rows)
+            assert rep.verdict
+
+
+@pytest.mark.parametrize("fault", ["bumped", "extra", "removed"])
+def test_report_mismatch_names_the_faulty_row(fault, monkeypatch, tmp_path, capsys):
+    from kquant import linear_models as lm
+    from kquant.cli import main
+
+    m = kq.linear_model([(1, 0), (0, 1), (1, 1)], (-1, 0))
+    window = 3
+    coeffs = dict(lm.formal_quantization(m, window).coeffs)
+    box = list(kq.dominant_window(m.datum, window))
+    if fault == "extra":
+        gamma = next(g for g in box if not kq.reduction_multiplicity(m, g).count)
+        coeffs[gamma] = 3
+    else:
+        gamma = sorted(coeffs)[len(coeffs) // 2]
+        coeffs[gamma] = coeffs[gamma] + 1 if fault == "bumped" else 0
+    q_top = coeffs[gamma]
+    q_red, regular = kq.reduction_multiplicity(m, gamma)
+    assert q_top != q_red
+    faulty = kq.FormalCharacter(m.datum, window, coeffs)
+    monkeypatch.setattr(lm, "formal_quantization", lambda model, w: faulty)
+
+    rows = _dense_rows(m, window)
+    rows = [r._replace(q_top=q_top, match=False) if r.gamma == gamma else r for r in rows]
+    rep = kq.verify_qr(m, window)
+    assert rep.verdict is False
+    assert [r for r in rep.rows if not r.match] == [
+        kq.QRRow(gamma, q_top, q_red, regular, False)]
+    _check_report(rep, m, window, rows)
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m.to_dict()), encoding="utf-8")
+    assert main(["verify-qr", str(path), "--window", str(window)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] is False
+    assert [r for r in doc["rows"] if not r["match"]] == [
+        {"gamma": list(gamma), "q_top": q_top, "q_red": q_red,
+         "regular": regular, "match": False}]
+    assert main(["verify-qr", str(path), "--window", str(window),
+                 "--format", "table"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verdict\tfalse"
+    false_rows = [ln for ln in lines[1:-1] if ln.endswith("\tfalse")]
+    assert false_rows == [lines[1 + box.index(gamma)]]
+    assert false_rows[0].startswith(f"{list(gamma)}\t{q_top}\t{q_red}\t")
 
 
 def _normal(vectors, rank):
@@ -712,6 +804,35 @@ def test_compatibility_origin_has_full_stabilizer():
     offsets = {(): (99,)}
     assert not kq.check_compatibility(m, offsets, 1)
     assert kq.check_compatibility(m, offsets, 99)
+
+
+def test_compatibility_reuses_the_decomposition(monkeypatch):
+    from kquant import linear_models as lm
+
+    calls = []
+    real = lm._stratum_vertices
+
+    def counted(m, support):
+        calls.append(support)
+        return real(m, support)
+
+    monkeypatch.setattr(lm, "_stratum_vertices", counted)
+    m = kq.linear_model([(1, 0), (0, 1), (1, 1)], (-1, -1))
+    comps = kq.vanishing_decomposition(m)
+    solved = len(calls)
+    assert solved
+    offsets = {c.support: (0, 0) for c in comps}
+    assert kq.check_compatibility(m, offsets, 0)
+    assert len(calls) == solved
+    # the returned list is the caller's own
+    first = list(comps)
+    comps.clear()
+    assert kq.vanishing_decomposition(m) == first
+    assert kq.vanishing_decomposition(m) is not kq.vanishing_decomposition(m)
+    assert kq.check_compatibility(m, offsets, 0)
+    with pytest.raises(kq.NotOnVanishingSet):
+        kq.check_compatibility(m, {(): (0, 0)}, 1)
+    assert len(calls) == solved
 
 
 def test_compatibility_missing_component():
