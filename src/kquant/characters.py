@@ -213,18 +213,28 @@ def _check_invariant(datum: RootDatum, p: WeightPolynomial):
             raise NotInvariant(f"polynomial is not invariant under reflection {i}")
 
 
-def _strip_key(w):
-    return (sum(w), w)
+def _height(datum: RootDatum, w) -> int:
+    """<w, 2 rho_vee>: every simple root of A_n raises it by 2.
+
+    In fundamental coordinates 2 rho_vee pairs with omega_j (0-based) to
+    (j + 1) * (n - j).  A torus has no roots; its coordinate sum serves.
+    """
+    if datum.is_torus:
+        return sum(w)
+    n = datum.rank
+    return sum((j + 1) * (n - j) * x for j, x in enumerate(w))
 
 
 def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
     """Write a Weyl-invariant weight polynomial in the irreducible basis.
 
     Repeatedly strips the maximal dominant term, where maximal means
-    largest sum of pairings with the simple coroots (the coordinate sum
-    in the fundamental basis), ties broken lexicographically.  Raises
-    NotInvariant when the input is not a virtual character, and
-    CertificateFailed when 10,000 strips leave a remainder.
+    largest height <w, 2 rho_vee>, ties broken lexicographically.  Every
+    other weight of the stripped character is lower by a positive sum of
+    simple roots, so strictly lower in height, and a stripped weight
+    never comes back.  Raises NotInvariant when the input is not a
+    virtual character, and CertificateFailed when 10,000 strips leave a
+    remainder.
     """
     _check_invariant(datum, p)
     mults = {}
@@ -237,7 +247,7 @@ def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
         dom = [w for w in rem.terms if is_dominant(datum, w)]
         if not dom:
             raise NotInvariant("nonzero invariant polynomial with no dominant term")
-        top = max(dom, key=_strip_key)
+        top = max(dom, key=lambda w: (_height(datum, w), w))
         m = rem.terms[top]
         mults[top] = m
         rem = rem - m * weyl_character(datum, top)
@@ -257,7 +267,7 @@ class Character:
             w = self.datum.check_weight(w)
             if not is_dominant(self.datum, w):
                 raise NotDominant(f"character key {w} is not dominant")
-            m = int(m)
+            m = as_int(m)
             if m:
                 clean[w] = m
         self.mults = clean
@@ -342,7 +352,7 @@ class FormalCharacter:
                 raise NotDominant(f"formal character key {w} is not dominant")
             if sup_norm(w) > self.window:
                 raise WindowExhausted(f"key {w} outside window {self.window}")
-            m = int(m)
+            m = as_int(m)
             if m:
                 clean[w] = m
         self.coeffs = clean

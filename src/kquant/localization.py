@@ -14,7 +14,9 @@ divisible by the denominator, so the result is a genuine Laurent
 polynomial.  polarized_index expands each factor as a geometric series
 supported in the xi-positive half space and reports exact multiplicities
 on a finite window, which also works for infinite component families
-with an enumeration bound.
+with an enumeration bound.  One series path serves both kinds: terms are
+cut to a coordinate box, the window itself for a torus and the box of
+the extraction plan's points for type A.
 
 Orbifold orders m > 1 are handled by exact cyclic averaging along the
 diagonal circle: only terms whose coordinate sum is divisible by m
@@ -194,9 +196,8 @@ class DiscreteKCycle:
             f"enumeration bound {self.enumeration_bound} does not certify the window")
 
     def to_dict(self) -> dict:
-        cycle = self if self.family is None else self.materialized()
         out = {"datum": self.datum.to_dict(),
-               "components": [c.to_dict(s) for s, c in cycle.components]}
+               "components": [c.to_dict(s) for s, c in self.materialized().components]}
         if self.enumeration_bound is not None:
             out["enumeration_bound"] = self.enumeration_bound
         return out
@@ -301,39 +302,31 @@ def auto_polarization(*cycles: DiscreteKCycle) -> tuple:
 
 
 def _extraction_points(datum: RootDatum, window: int):
-    """Weight-level points needed to report a type A window, with extractors.
+    """Extraction plan of a type A window.
 
-    Returns (needed, plan) where plan maps each dominant window weight
-    lam to a list of (point, sign) pairs such that the irreducible
-    multiplicity of lam is sum of sign * coefficient(point): the
-    alternating sum over w(lam+rho)-rho, which inverts the character
-    formula.  A torus needs no plan; its window is the box itself.
+    Maps each dominant window weight lam to a list of (point, sign) pairs
+    such that the irreducible multiplicity of lam is sum of sign *
+    coefficient(point): the alternating sum over w(lam+rho)-rho, which
+    inverts the character formula.  A torus needs no plan; its window is
+    the box itself.
     """
-    plan = {}
-    needed = set()
-    for lam in dominant_window(datum, window):
-        rows = []
-        for img, sgn, _ in signed_orbit_with_images(datum, add(lam, datum.rho)):
-            pt = sub(img, datum.rho)
-            rows.append((pt, sgn))
-            needed.add(pt)
-        plan[lam] = rows
-    return needed, plan
+    return {lam: [(sub(img, datum.rho), sgn)
+                  for img, sgn, _ in signed_orbit_with_images(datum, add(lam, datum.rho))]
+            for lam in dominant_window(datum, window)}
 
 
-def _window_guards(dirs, needed, rank, box=None):
-    """Linear guards that certified window terms can never violate.
+def _window_guards(dirs, rank, box):
+    """Linear guards that certified box terms can never violate.
 
-    A partial product term u can still contribute to a reported weight
-    only if some gamma in `needed` differs from u by a nonnegative
-    combination of the remaining series directions.  Any functional phi
-    that is nonnegative on those directions therefore forces <u, phi> <=
-    max over needed of <gamma, phi>.  When box is given, `needed` is the
-    torus box [-box, box]^r and is not read: that maximum is box * sum
-    |phi_i| in closed form, the value of the scan.  Candidates come from
-    hyperplanes spanned by direction subsets, from the annihilator of
-    the whole direction span, and from coordinate functionals; validity
-    against a concrete suffix is re-checked by the caller before use.
+    A partial product term u can still contribute to a term of the box
+    [-box, box]^r only if some gamma in the box differs from u by a
+    nonnegative combination of the remaining series directions.  Any
+    functional phi that is nonnegative on those directions therefore
+    forces <u, phi> <= max over the box of <gamma, phi>, which is box *
+    sum |phi_i| in closed form.  Candidates come from hyperplanes spanned
+    by direction subsets, from the annihilator of the whole direction
+    span, and from coordinate functionals; validity against a concrete
+    suffix is re-checked by the caller before use.
     """
     uniq = sorted(set(dirs))
     phis = set(nullspace(uniq, rank))
@@ -344,18 +337,15 @@ def _window_guards(dirs, needed, rank, box=None):
                 phis.add(ns[0])
     phis.update(tuple(int(i == t) for i in range(rank)) for t in range(rank))
     cands = sorted(phis | {neg(phi) for phi in phis})  # both signs of each
-    if box is not None:
-        return [(phi, box * sum(map(abs, phi))) for phi in cands]
-    return [(phi, max(dot(v, phi) for v in needed)) for phi in cands]
+    return [(phi, box * sum(map(abs, phi))) for phi in cands]
 
 
-def _expand_point(p: FixedPointDatum, xi, maxpair, needed, box):
+def _expand_point(p: FixedPointDatum, xi, maxpair, box):
     """Polarized series of one fixed point, exact below the pairing cap.
 
     Returns (terms, low): the series terms with pairing <= maxpair that
-    lie in the torus box [-box, box]^r when box is given, or in the set
-    `needed` otherwise, and a lower bound valid for the pairing of every
-    term of the full series: the minimal fiber pairing plus one
+    lie in the box [-box, box]^r, and a lower bound valid for the pairing
+    of every term of the full series: the minimal fiber pairing plus one
     mandatory step from each factor whose geometric series starts at
     k = 1.  The box is never enumerated: on the last factor its
     coordinate guards (+-e_t, bound box) cut each term's range of k to
@@ -378,13 +368,11 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed, box):
     budget0 = maxpair - fmin
     if budget0 < 0:
         return {}, low
-    if box is not None and not steps:
+    if not steps:
         fiber = {v: c for v, c in fiber.items() if sup_norm(v) <= box}
-    # digit capacity: every coordinate a partial term or packed point
-    # of `needed` can reach (the box is never packed)
+    # digit capacity: every coordinate a partial term can reach (the box
+    # is never packed)
     big = max((abs(c) for v in fiber for c in v), default=0)
-    if box is None:
-        big = max(big, max(abs(c) for v in needed for c in v))
     growth = sum((budget0 // abs(pw)) * max(abs(c) for c in w)
                  for w, pw in steps)
     base = 1 << ((big + growth).bit_length() + 1)
@@ -405,8 +393,7 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed, box):
         return tuple(coords)
 
     dirs = [neg(w) if pw < 0 else w for w, pw in steps]
-    guards = _window_guards(dirs, needed, rank, box)
-    needed_packed = {pack(v) for v in needed} if box is None else None
+    guards = _window_guards(dirs, rank, box)
 
     cur = {}
     for v, c in fiber.items():
@@ -425,12 +412,10 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed, box):
         # guards nonnegative on the remaining directions cut each term's
         # range of k before the term is built, not after.  On the last
         # factor every guard is valid, and the coordinate guards alone cut
-        # k to exactly the torus box (no other guard cuts a box point);
-        # type A filters by the set `needed` there instead
-        keep = needed_packed if last else None
+        # k to exactly the box (no other guard cuts a box point)
         rest = dirs[j + 1:]
         active = [(phi, b, dot(dirs[j], phi)) for phi, b in guards
-                  if keep is None and all(dot(d, phi) >= 0 for d in rest)
+                  if all(dot(d, phi) >= 0 for d in rest)
                   and not (last and phi.count(0) < rank - 1)]
         nxt = {}
         get = nxt.get
@@ -451,12 +436,11 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, needed, box):
             for _ in range(lo, hi + 1):
                 if u > cap:
                     break
-                if keep is None or u in keep:
-                    cc = get(u, 0) + c
-                    if cc:
-                        nxt[u] = cc
-                    else:
-                        del nxt[u]
+                cc = get(u, 0) + c
+                if cc:
+                    nxt[u] = cc
+                else:
+                    del nxt[u]
                 u += stride
         cur = nxt
     m = p.orbifold_order
@@ -478,9 +462,11 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
     since every remaining factor only adds nonnegative pairing, pruning
     never loses a contribution.  The result reports irreducible
     multiplicities for every dominant weight of sup-norm <= window.
-    For a torus the window is the box [-window, window]^r: its largest
-    pairing is window * sum |xi_i|, and the terms cut to it are the
-    multiplicities.  Type A reads them off an extraction plan.
+    Both kinds cut the series to one box: for a torus it is the window
+    [-window, window]^r itself, whose terms are the multiplicities; for
+    type A it is the smallest box holding every point of the extraction
+    plan, whose alternating sums give the multiplicities.  maxpair is the
+    largest pairing of a box point (torus) or of a plan point (type A).
     """
     if window <= 0:
         raise WindowExhausted(f"window must be >= 1, got {window}")
@@ -491,21 +477,21 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
         raise ValueError(f"polarization rank {len(xi)} != datum rank {k.datum.rank}")
     datum = k.datum
     if datum.is_torus:
-        needed, box = None, window
+        box = window
         maxpair = window * sum(map(abs, xi))
     else:
-        needed, plan = _extraction_points(datum, window)
-        box = None
-        maxpair = max(dot(v, xi) for v in needed)
+        plan = _extraction_points(datum, window)
+        pts = [pt for rows in plan.values() for pt, _ in rows]
+        box = max(map(sup_norm, pts))
+        maxpair = max(dot(pt, xi) for pt in pts)
     acc = {}
     lows = []
     for sign, comp in k.iter_certified(xi, maxpair):
-        if comp.fixed_points and any(p.orbifold_order > 1 for p in comp.fixed_points):
-            if not datum.is_torus:
-                raise OrbifoldAveragingUnsupported(
-                    "orbifold averaging outside a torus lattice is not expressible")
+        if not datum.is_torus and any(p.orbifold_order > 1 for p in comp.fixed_points):
+            raise OrbifoldAveragingUnsupported(
+                "orbifold averaging outside a torus lattice is not expressible")
         for p in comp.fixed_points:
-            terms, low = _expand_point(p, xi, maxpair, needed, box)
+            terms, low = _expand_point(p, xi, maxpair, box)
             lows.append(low)
             for v, c in terms.items():
                 cc = acc.get(v, 0) + sign * c

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import FormalCharacter, WeightPolynomial
+from .characters import FormalCharacter, WeightPolynomial, decompose, formal_multiply
 from .errors import (CertificateFailed, DatumMismatch, EmptyBlock,
                      FiberIndexNotUnit, OddFiber, OrbifoldAveragingUnsupported,
                      SecondFactorInfinite, UnsupportedSplit)
@@ -256,9 +256,6 @@ def certify_product(a, b, window, xi=None):
     out = product_cycle(a, b)
     if xi is None:
         xi = auto_polarization(out)
-    from .characters import decompose, formal_multiply
-
-    margin = 0
     bchar = decompose(b.datum, closed_sum(b))
     margin = bchar.weight_system_bound()
     before = formal_multiply(polarized_index(a, xi, window + margin), bchar)

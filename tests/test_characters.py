@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -101,6 +102,24 @@ def test_decompose_a2_tensor():
     prod = kq.weyl_character(A2, (1, 0)) * kq.weyl_character(A2, (0, 1))
     ch = kq.decompose(A2, prod)
     assert dict(ch.sorted_items()) == {(0, 0): 1, (1, 1): 1}
+
+
+def test_decompose_inverts_weyl_character_a3_a4():
+    # alpha_2 of A3 is (-1, 2, -1): a strip order by coordinate sum would
+    # not see it as raising a weight
+    for rank, top in ((3, 2), (4, 1)):
+        datum = kq.build_root_datum("A", rank)
+        for lam in itertools.product(range(top + 1), repeat=rank):
+            assert kq.decompose(datum, kq.weyl_character(datum, lam)).mults == {lam: 1}
+
+
+def test_char_product_a3():
+    # 6 x 6 = 20' + 15 + 1
+    a3 = kq.build_root_datum("A", 3)
+    six = kq.Character(a3, {(0, 1, 0): 1})
+    prod = kq.char_product(six, six)
+    assert prod.mults == {(0, 2, 0): 1, (1, 0, 1): 1, (0, 0, 0): 1}
+    assert prod.weight_polynomial() == six.weight_polynomial() * six.weight_polynomial()
 
 
 def test_decompose_rejects_non_invariant():

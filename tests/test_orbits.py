@@ -85,6 +85,28 @@ def test_p_map_round_trip_a2():
         assert got.agrees_with(fc)
 
 
+def test_type_a_series_matches_closed_route_at_several_polarizations():
+    # no root pairs to zero with any of these; rank 1 has two directions up
+    # to scale, and (-7,) also checks normalization
+    xis = {A1: ((1,), (-1,), (-7,)), A2: ((1, 1), (1, 3), (-2, 1))}
+    rng = random.Random(23)
+    for datum in (A1, A2):
+        for _ in range(6):
+            window = rng.randint(2, 6)
+            fc = random_formal_character(rng, datum, window, regular_only=True)
+            k = kq.p_map(fc)
+            closed = kq.character_window(k, window)
+            assert closed.coeffs == fc.coeffs
+            for xi in xis[datum]:
+                assert kq.polarized_index(k, xi, window).coeffs == closed.coeffs, (xi, fc.coeffs)
+
+
+def test_type_a_series_rank3_orbit_of_rho():
+    a3 = kq.build_root_datum("A", 3)
+    k = kq.orbit_cycle(a3, a3.rho).cycle()
+    assert kq.polarized_index(k, None, 1).coeffs == {a3.rho: 1}
+
+
 def test_p_map_additive():
     rng = random.Random(22)
     for _ in range(5):

@@ -136,6 +136,12 @@ def test_non_integers_are_rejected_not_truncated():
         kq.FormalCharacter.from_dict(T1, {"window": 2.5, "terms": terms})
     with pytest.raises(TypeError):
         kq.FormalCharacter.from_dict(T1, {"window": 2, "terms": [{"weight": [0], "mult": 0.5}]})
+    # the constructors check multiplicities themselves, not only from_dict
+    for mult in (1.5, Fraction(7, 2), True):
+        with pytest.raises(TypeError):
+            kq.FormalCharacter(T1, 3, {(1,): mult})
+        with pytest.raises(TypeError):
+            kq.Character(T1, {(1,): mult})
     for sign in (1.0, True, Fraction(1)):
         with pytest.raises(TypeError):
             kq.DiscreteKCycle(T1, ((sign, kq.f_sphere(1)),))
