@@ -262,10 +262,11 @@ class Character:
     mults: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        torus = self.datum.is_torus
         clean = {}
         for w, m in dict(self.mults).items():
             w = self.datum.check_weight(w)
-            if not is_dominant(self.datum, w):
+            if not torus and min(w) < 0:
                 raise NotDominant(f"character key {w} is not dominant")
             m = as_int(m)
             if m:
@@ -343,12 +344,14 @@ class FormalCharacter:
     support_certificate: tuple = None
 
     def __post_init__(self):
+        self.window = as_int(self.window)
         if self.window < 0:
             raise WindowExhausted(f"window {self.window} is empty")
+        torus = self.datum.is_torus
         clean = {}
         for w, m in dict(self.coeffs).items():
             w = self.datum.check_weight(w)
-            if not is_dominant(self.datum, w):
+            if not torus and min(w) < 0:
                 raise NotDominant(f"formal character key {w} is not dominant")
             if sup_norm(w) > self.window:
                 raise WindowExhausted(f"key {w} outside window {self.window}")

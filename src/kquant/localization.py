@@ -18,6 +18,14 @@ with an enumeration bound.  One series path serves both kinds: terms are
 cut to a coordinate box, the window itself for a torus and the box of
 the extraction plan's points for type A.
 
+Series terms are packed integers of signed digit fields.  The pairing
+with xi is the top block; below it, from the lowest field up, come the
+r coordinates and then one field per guard functional (a linear bound
+that a term able to reach the box cannot exceed; phi and -phi share a
+field).  Every field is linear in the term, so a series step is one
+integer addition, the pairing cap one comparison and a guard pairing
+one shift and mask.
+
 Orbifold orders m > 1 are handled by exact cyclic averaging along the
 diagonal circle: only terms whose coordinate sum is divisible by m
 survive, which is the lattice-level shadow of averaging the character
@@ -324,17 +332,17 @@ def _window_guards(dirs, rank, box):
     functional phi that is nonnegative on those directions therefore
     forces <u, phi> <= max over the box of <gamma, phi>, which is box *
     sum |phi_i| in closed form.  Candidates come from hyperplanes spanned
-    by direction subsets, from the annihilator of the whole direction
-    span, and from coordinate functionals; validity against a concrete
-    suffix is re-checked by the caller before use.
+    by rank - 1 directions (a smaller subset has a nullspace of dimension
+    at least two), from the annihilator of the whole direction span, and
+    from coordinate functionals; validity against a concrete suffix is
+    re-checked by the caller before use.
     """
     uniq = sorted(set(dirs))
     phis = set(nullspace(uniq, rank))
-    for size in range(1, rank):
-        for subset in itertools.combinations(uniq, size):
-            ns = nullspace(subset, rank)
-            if len(ns) == 1:
-                phis.add(ns[0])
+    for subset in itertools.combinations(uniq, rank - 1):
+        ns = nullspace(subset, rank)
+        if len(ns) == 1:
+            phis.add(ns[0])
     phis.update(tuple(int(i == t) for i in range(rank)) for t in range(rank))
     cands = sorted(phis | {neg(phi) for phi in phis})  # both signs of each
     return [(phi, box * sum(map(abs, phi))) for phi in cands]
@@ -350,9 +358,19 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
     k = 1.  The box is never enumerated: on the last factor its
     coordinate guards (+-e_t, bound box) cut each term's range of k to
     exactly the box, and a point without tangent weights has its fiber
-    cut directly.  Terms are kept as packed integers internally; a weight
-    and its pairing occupy disjoint digit blocks, so vector addition is
-    plain int addition and the pairing cap is a single comparison.
+    cut directly.
+
+    Terms are kept as packed integers, so vector addition is plain int
+    addition.  From the top down a term holds its pairing with xi, then
+    one signed digit field per guard functional that is active on some
+    non-last factor (phi and -phi share a field), then the r coordinate
+    fields, lowest first; the coordinate functionals e_t are the guards
+    +-e_t.  Each field is a linear functional of the term, so a stride
+    adds to every field at once.  One bias of half a field added to every
+    field keeps each stored digit in [0, 2 * half), which makes the
+    pairing cap a single comparison and a guard pairing a shift and a
+    mask.  A field is wide enough for the largest L1 norm of a packed
+    functional times the largest coordinate a partial term can reach.
     """
     rank = len(xi)
     fiber = p.fiber_character.terms
@@ -370,71 +388,98 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
         return {}, low
     if not steps:
         fiber = {v: c for v, c in fiber.items() if sup_norm(v) <= box}
-    # digit capacity: every coordinate a partial term can reach (the box
-    # is never packed)
+    dirs = [neg(w) if pw < 0 else w for w, pw in steps]
+    nfac = len(steps)
+
+    # guard table, once per point: guard phi is valid on factor j when it
+    # is nonnegative on every later direction, so it stays valid from the
+    # factor of its last negative pairing on.  On the last factor only the
+    # coordinate guards act: they alone cut k to exactly the box (no
+    # other guard cuts a box point)
+    funcs = [tuple(int(i == t) for i in range(rank)) for t in range(rank)]
+    field = {f: t for t, f in enumerate(funcs)}
+    active = [[] for _ in dirs]
+    for phi, b in _window_guards(dirs, rank, box):
+        pairs = [dot(d, phi) for d in dirs]
+        start = max((j for j, s in enumerate(pairs) if s < 0), default=0)
+        end = nfac if phi.count(0) == rank - 1 else nfac - 1
+        if start >= end:
+            continue
+        flip = next(filter(None, phi)) < 0  # phi is minus its field's key
+        key = neg(phi) if flip else phi
+        if key not in field:
+            field[key] = len(funcs)
+            funcs.append(key)
+        for j in range(start, end):
+            active[j].append((field[key], flip, b, pairs[j]))
+
+    # field width: every coordinate a partial term can reach (the box is
+    # never packed), times the largest L1 norm of a packed functional
     big = max((abs(c) for v in fiber for c in v), default=0)
     growth = sum((budget0 // abs(pw)) * max(abs(c) for c in w)
                  for w, pw in steps)
-    base = 1 << ((big + growth).bit_length() + 1)
-    half = base >> 1
-    pows = [base ** t for t in range(rank)]
-    shift = base ** rank
-    cap = maxpair * shift + shift // 2
+    norm = max(sum(map(abs, f)) for f in funcs)
+    width = (norm * (big + growth)).bit_length() + 1
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    shift = 1 << (width * len(funcs))
+    bias = sum(half << (i * width) for i in range(len(funcs)))
+    bias2 = 2 * bias
+    cap = (maxpair + 1) * shift  # a term pairs at most maxpair iff u < cap
 
-    def pack(v):
-        return dot(v, xi) * shift + sum(v[t] * pows[t] for t in range(rank))
-
-    def unpack(u):
-        coords = []
-        for _ in range(rank):
-            d = ((u + half) % base) - half
-            coords.append(d)
-            u = (u - d) // base
-        return tuple(coords)
-
-    dirs = [neg(w) if pw < 0 else w for w, pw in steps]
-    guards = _window_guards(dirs, rank, box)
+    def lin(v):
+        return dot(v, xi) * shift + sum(dot(v, f) << (i * width)
+                                        for i, f in enumerate(funcs))
 
     cur = {}
     for v, c in fiber.items():
-        cur[pack(v)] = cur.get(pack(v), 0) + c
-    nfac = len(steps)
+        u = lin(v) + bias
+        cur[u] = cur.get(u, 0) + c
     for j, (w, pw) in enumerate(steps):
         if not cur:
             return {}, low
-        last = j == nfac - 1
-        stride = pack(dirs[j])
+        stride = lin(dirs[j])
         # (1 - t^{-w})^{-1} = sum_{k>=0} t^{-kw} when pw < 0, and
         # -t^w (1 - t^w)^{-1} = -sum_{k>=1} t^{kw} when pw > 0: either way
         # step k adds k * dirs[j], whose pairing |pw| is positive
         k0, sign = (0, 1) if pw < 0 else (1, -1)
         kmax = budget0 // abs(pw)
-        # guards nonnegative on the remaining directions cut each term's
-        # range of k before the term is built, not after.  On the last
-        # factor every guard is valid, and the coordinate guards alone cut
-        # k to exactly the box (no other guard cuts a box point)
-        rest = dirs[j + 1:]
-        active = [(phi, b, dot(dirs[j], phi)) for phi, b in guards
-                  if all(dot(d, phi) >= 0 for d in rest)
-                  and not (last and phi.count(0) < rank - 1)]
+        # guards cut each term's range of k before the term is built.  A
+        # field reads half + <u, key>, and the negated term 2 * bias - u
+        # reads half - <u, key>, so the room b - <u, phi> left by a guard
+        # is b + half minus one field read: of u when phi is the field's
+        # key, of the negated term when phi is its negative
+        ups, downs, flat = [], [], []
+        for f, flip, b, step in active[j]:
+            g = (flip, f * width, b + half)
+            if step > 0:
+                ups.append(g + (step,))
+            elif step < 0:
+                downs.append(g + (-step,))
+            else:
+                flat.append(g)
+        guarded = bool(active[j])
         nxt = {}
         get = nxt.get
         for vp, c in cur.items():
             lo, hi = k0, kmax
-            if active:
-                v = unpack(vp)
-                for phi, b, step in active:
-                    room = b - dot(v, phi)
-                    if step > 0:
-                        hi = min(hi, room // step)
-                    elif step < 0:
-                        lo = max(lo, -(room // -step))
-                    elif room < 0:
+            if guarded:
+                reads = (vp, bias2 - vp)
+                for n, sh, bb, step in ups:
+                    t = (bb - ((reads[n] >> sh) & mask)) // step
+                    if t < hi:
+                        hi = t
+                for n, sh, bb, step in downs:
+                    t = -((bb - ((reads[n] >> sh) & mask)) // step)
+                    if t > lo:
+                        lo = t
+                for n, sh, bb in flat:
+                    if bb < ((reads[n] >> sh) & mask):
                         hi = -1
             c *= sign
             u = vp + lo * stride
             for _ in range(lo, hi + 1):
-                if u > cap:
+                if u >= cap:
                     break
                 cc = get(u, 0) + c
                 if cc:
@@ -444,9 +489,10 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
                 u += stride
         cur = nxt
     m = p.orbifold_order
+    shifts = [t * width for t in range(rank)]
     out = {}
     for u, c in cur.items():
-        v = unpack(u)
+        v = tuple([((u >> sh) & mask) - half for sh in shifts])
         if m > 1 and sum(v) % m:
             continue
         out[v] = c
@@ -468,6 +514,7 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
     plan, whose alternating sums give the multiplicities.  maxpair is the
     largest pairing of a box point (torus) or of a plan point (type A).
     """
+    window = as_int(window)
     if window <= 0:
         raise WindowExhausted(f"window must be >= 1, got {window}")
     if xi is None:

@@ -161,6 +161,13 @@ def test_formal_character_window():
     assert fc.restrict(1).coeffs == {}
 
 
+def test_formal_character_rejects_a_non_integer_window():
+    for window in (2.5, 3.0, True):
+        with pytest.raises(TypeError):
+            kq.FormalCharacter(T1, window, {(1,): 1})
+    assert kq.FormalCharacter(T1, 3, {(1,): 1}).to_dict()["window"] == 3
+
+
 def test_formal_character_agreement_uses_shared_window():
     a = kq.FormalCharacter(T1, 5, {(1,): 1, (5,): 9})
     b = kq.FormalCharacter(T1, 3, {(1,): 1})

@@ -1,8 +1,12 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import kquant as kq
+from kquant.localization import _expand_point
 from helpers import (T1, T2, lazy_disk_family, random_closed_cycle_t1,
                      random_closed_cycle_t2)
 
@@ -183,6 +187,13 @@ def test_window_zero_rejected():
         kq.polarized_index(k, (1,), 0)
 
 
+def test_window_must_be_an_integer():
+    k = kq.DiscreteKCycle(T1, ((1, kq.f_sphere(0)),))
+    for window in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            kq.polarized_index(k, (1,), window)
+
+
 def test_auto_polarization_generic():
     rng = random.Random(3)
     for _ in range(10):
@@ -269,3 +280,104 @@ def test_torus_guard_bound_is_the_box_maximum():
         # each closed-form bound is the maximum of <v, phi> over the box
         for phi, b in guards:
             assert b == max(sum(x * y for x, y in zip(v, phi)) for v in box)
+
+
+def _pairing(v, xi):
+    return sum(a * b for a, b in zip(v, xi))
+
+
+def _series_reference(p, xi, maxpair, box):
+    """Brute-force polarized series of one point: no guards, no packing.
+
+    Expands every factor over each k-vector whose total pairing stays at
+    most maxpair, sums the terms, then keeps the box [-box, box]^r and
+    the terms the orbifold order divides.
+    """
+    factors = []
+    for w in p.tangent_weights:
+        pw = _pairing(w, xi)
+        if pw < 0:
+            factors.append((tuple(-x for x in w), -pw, 0, 1))
+        else:
+            factors.append((w, pw, 1, -1))
+    out = {}
+    for v, c in p.fiber_character.terms.items():
+        partial = [(v, _pairing(v, xi), c)]
+        for d, step, k0, sign in factors:
+            partial = [(tuple(a + k * b for a, b in zip(u, d)), pu + k * step, cu * sign)
+                       for u, pu, cu in partial
+                       for k in range(k0, (maxpair - pu) // step + 1)]
+        for u, pu, cu in partial:
+            if (pu <= maxpair and max(map(abs, u)) <= box
+                    and sum(u) % p.orbifold_order == 0):
+                out[u] = out.get(u, 0) + cu
+    return {u: c for u, c in out.items() if c}
+
+
+def _check_against_reference(p, xi, maxpair, box):
+    terms, low = _expand_point(p, xi, maxpair, box)
+    assert terms == _series_reference(p, xi, maxpair, box)
+    # the lower bound is the pairing of the series' lowest term
+    steps = [_pairing(w, xi) for w in p.tangent_weights]
+    fmin = min(_pairing(v, xi) for v in p.fiber_character.terms)
+    assert low == fmin + sum(s for s in steps if s > 0)
+    return terms
+
+
+@st.composite
+def series_points(draw):
+    """A fixed point, a generic xi, a box and a pairing cap.
+
+    The cap is either the one polarized_index uses for a torus window or
+    a small budget above the first fiber term.  Further fiber terms have
+    coordinates up to 50 and pair at least the cap minus 10, so the
+    reference stays small while the packed fields get wide.
+    """
+    rank = draw(st.integers(1, 4))
+
+    def vectors(bound):
+        return st.tuples(*[st.integers(-bound, bound)] * rank)
+
+    tangent = draw(st.lists(vectors(3).filter(any), min_size=1, max_size=5))
+    xi = draw(vectors(7).filter(
+        lambda x: all(_pairing(w, x) for w in tangent)))
+    box = draw(st.integers(1, 4))
+    near = draw(vectors(12))
+    if draw(st.booleans()):
+        maxpair = box * sum(map(abs, xi))
+    else:
+        maxpair = _pairing(near, xi) + draw(st.integers(-2, 8))
+    # a bound on the reference's k-vectors per fiber term
+    budget = maxpair - min(maxpair - 10, _pairing(near, xi))
+    assume(math.prod(budget // abs(_pairing(w, xi)) + 1 for w in tangent) <= 20000)
+    fiber = {near: draw(st.integers(1, 3))}
+    floor = maxpair - 10
+    for v in draw(st.lists(vectors(50).filter(lambda v: _pairing(v, xi) >= floor),
+                           max_size=3)):
+        fiber.setdefault(v, draw(st.sampled_from((-2, -1, 1, 2))))
+    order = draw(st.integers(1, 3))
+    p = kq.FixedPointDatum(tuple(tangent), WP(fiber), order)
+    return p, xi, maxpair, box
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_points())
+# the guard (2, 1), normal to the direction (1, -2), pairs up to three
+# times the largest coordinate, so its field must be that much wider
+@example((kq.point((1, 0), (-1, 0), (-1, 2)), (1, 0), 1, 1))
+def test_packed_series_matches_brute_force(case):
+    _check_against_reference(*case)
+
+
+def test_packed_series_with_million_coordinates():
+    # fiber coordinates of +-10**6 set the field width; the far terms pair
+    # like the near ones, so only the guards keep them out of the box
+    fiber = WP([((0, 0), 1), ((1, 1), -2), ((10 ** 6, -5 * 10 ** 5), 2),
+                ((-10 ** 6, 5 * 10 ** 5 + 1), -1)])
+    p = kq.FixedPointDatum(((-1, 0), (0, -1), (1, -1)), fiber)
+    terms = _check_against_reference(p, (1, 2), 6, 2)
+    assert terms and max(map(abs, (x for v in terms for x in v))) <= 2
+    # a coordinate just below a power of two fills its field to the top
+    big = 2 ** 20 - 1
+    p = kq.FixedPointDatum(((-1, 0),), WP([((big, -big), 1), ((0, 0), 1)]))
+    assert _check_against_reference(p, (1, 1), 0, 2) == {(0, 0): 1}
