@@ -165,7 +165,11 @@ def _run_moves(args):
     elif name == "glue_split":
         _require(req, "cycle", "blocks")
         k = DiscreteKCycle.from_dict(req["cycle"])
-        _, comp = k.components[as_int(req.get("component", 0))]
+        index = as_int(req.get("component", 0))
+        if not 0 <= index < len(k.components):
+            raise CLIError(f"component {index} is out of range for "
+                           f"{len(k.components)} components")
+        _, comp = k.components[index]
         blocks = [list(map(as_int, b)) for b in req["blocks"]]
         pieces, cert = certify_glue_split(comp, blocks, k.datum, window, xi)
         result = [p.to_dict() for p in pieces]

@@ -9,14 +9,16 @@ weights supplied by the data; a component sign of -1 denotes the
 reversed structure and negates the contribution.
 
 closed_index sums chi_p * prod_j (1 - t^{-w_pj})^{-1} over fixed points
-as one rational function and certifies that the numerator is exactly
-divisible by the denominator, so the result is a genuine Laurent
-polynomial.  polarized_index expands each factor as a geometric series
-supported in the xi-positive half space and reports exact multiplicities
-on a finite window, which also works for infinite component families
-with an enumeration bound.  One series path serves both kinds: terms are
-cut to a coordinate box, the window itself for a torus and the box of
-the extraction plan's points for type A.
+over one common denominator: the distinct factors 1 - t^u (u the
+lex-positive one of +-w_pj) each at its largest multiplicity at a single
+point.  It certifies that the numerator is exactly divisible by it, so
+the result is a genuine Laurent polynomial.  polarized_index expands
+each factor as a geometric series supported in the xi-positive half
+space and reports exact multiplicities on a finite window, which also
+works for infinite component families with an enumeration bound.  One
+series path serves both kinds: terms are cut to a coordinate box, the
+window itself for a torus and the box of the extraction plan's points
+for type A.
 
 Series terms are packed integers of signed digit fields.  The pairing
 with xi is the top block; below it, from the lowest field up, come the
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,6 +137,8 @@ class DiscreteKCycle:
     enumeration_bound: int = None
 
     def __post_init__(self):
+        if self.enumeration_bound is not None and as_int(self.enumeration_bound) < 0:
+            raise ValueError(f"enumeration bound must be >= 0, got {self.enumeration_bound}")
         comps = []
         for sign, comp in self.components:
             sign = as_int(sign)
@@ -223,62 +228,57 @@ def cycle_negate(k: DiscreteKCycle) -> DiscreteKCycle:
     return k.negate()
 
 
-def _divisible_part(terms: dict, m: int) -> dict:
-    if m == 1:
-        return terms
-    return {w: c for w, c in terms.items() if sum(w) % m == 0}
-
-
 def closed_index(component: ClosedComponent, datum: RootDatum = None) -> WeightPolynomial:
     """Exact index of a closed component as a Laurent polynomial.
 
-    Sums the fixed point contributions over a common denominator and
-    divides exactly; failure of divisibility means the data cannot come
-    from a closed orbifold and raises NotClosed.  Orbifold orders act by
-    diagonal cyclic averaging as described in the module docstring.
+    Over u, the lex-positive one of +-v, a factor 1 - t^v (v = -m w) is
+    1 - t^u or -t^{-u} (1 - t^u); the latter puts -t^u in the numerator.
+    The common denominator is the product of the distinct 1 - t^u, each
+    at its largest multiplicity at one point.  Divisibility does not
+    depend on that choice, so its failure raises NotClosed: the data
+    cannot come from a closed orbifold.  Orbifold orders act by diagonal
+    cyclic averaging as described in the module docstring.
     """
-    pts = component.fixed_points
-    rank = len(next(iter(pts[0].fiber_character.terms)))
+    rank = len(next(iter(component.fixed_points[0].fiber_character.terms)))
     one = WeightPolynomial.one(rank)
-    denoms = []
-    numers = []
-    for p in pts:
+    local = []
+    common = Counter()
+    for p in component.fixed_points:
         m = p.orbifold_order
         if m > 1 and datum is not None and not datum.is_torus:
             raise OrbifoldAveragingUnsupported(
                 "orbifold averaging outside a torus lattice is not expressible")
-        dfac = one
-        scaler = p.fiber_character
+        num = p.fiber_character
+        factors = Counter()
         for w in p.tangent_weights:
-            dfac = dfac * (one - WeightPolynomial.monomial(scale(-m, w)))
             if m > 1:
-                scaler = scaler * WeightPolynomial(
-                    (scale(-i, w), 1) for i in range(m))
-        num = WeightPolynomial()
-        num.terms = dict(_divisible_part(scaler.terms, m))
-        denoms.append(dfac)
-        numers.append(num)
-    n = len(pts)
-    prefix = [one]
-    for d in denoms:
-        prefix.append(prefix[-1] * d)
-    suffix = [one] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = denoms[i] * suffix[i + 1]
-    total_num = WeightPolynomial.zero()
-    for i in range(n):
-        total_num = total_num + numers[i] * (prefix[i] * suffix[i + 1])
+                num = num * WeightPolynomial((scale(-i, w), 1) for i in range(m))
+            v = scale(-m, w)
+            u = max(v, neg(v))  # the lex-positive one of +-v
+            if u != v:
+                num = num * WeightPolynomial.monomial(u, -1)
+            factors[u] += 1
+        if m > 1:
+            num = WeightPolynomial({w: c for w, c in num.items() if sum(w) % m == 0})
+        local.append((num, factors))
+        common |= factors
+    total, den = WeightPolynomial.zero(), one
+    for num, factors in local:
+        for u in (common - factors).elements():
+            num = num * (one - WeightPolynomial.monomial(u))
+        total = total + num
+    for u in common.elements():
+        den = den * (one - WeightPolynomial.monomial(u))
     try:
-        return exact_divide(total_num, prefix[n])
+        return exact_divide(total, den)
     except ArithmeticError as exc:
         raise NotClosed(f"component {component.label!r}: {exc}") from exc
 
 
 def closed_sum(k: DiscreteKCycle) -> WeightPolynomial:
     """Signed sum of the exact closed indices of all components."""
-    cycle = k.materialized()
     out = WeightPolynomial.zero()
-    for s, c in cycle.components:
+    for s, c in k.materialized().components:
         out = out + s * closed_index(c, k.datum)
     return out
 
@@ -305,8 +305,7 @@ def auto_polarization(*cycles: DiscreteKCycle) -> tuple:
             for p in comp.fixed_points:
                 for w in p.tangent_weights:
                     big = max(big, sup_norm(w))
-    base = big + 1
-    return tuple(base ** i for i in range(cycles[0].datum.rank))
+    return tuple((big + 1) ** i for i in range(cycles[0].datum.rank))
 
 
 def _extraction_points(datum: RootDatum, window: int):

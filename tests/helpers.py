@@ -4,6 +4,7 @@ Random data is always drawn from a seeded Random instance passed in by
 the caller, so every test run sees the same corpus.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ T1 = kq.build_root_datum("torus", 1)
 T2 = kq.build_root_datum("torus", 2)
 A1 = kq.build_root_datum("A", 1)
 A2 = kq.build_root_datum("A", 2)
+A3 = kq.build_root_datum("A", 3)
 
 AXES2 = ((1, 0), (0, 1))
 
@@ -141,3 +143,74 @@ def fraction_nullspace(rows, width):
         vec = [v // g for v in ints]
         basis.append(tuple(vec) if next(filter(None, vec)) > 0 else tuple(-v for v in vec))
     return basis
+
+
+def random_torus_component(rng):
+    """A torus component: rank 1-2, 1-6 points, 0-2 tangent weights, orders 1-3.
+
+    Half the draws close by construction: they are built from blocks of
+    one point and its mirror images under flipping any subset of its
+    tangent weights (a product of spheres, one orbifold order per block).
+    The other half are independent points, which mostly do not close.
+    """
+    rank = rng.randint(1, 2)
+
+    def weight():
+        while True:
+            w = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if any(w):
+                return w
+
+    def fiber():
+        return kq.WeightPolynomial({tuple(rng.randint(-2, 2) for _ in range(rank)):
+                                    rng.choice((-2, -1, 1, 2))
+                                    for _ in range(rng.randint(1, 2))})
+
+    n = rng.randint(1, 6)
+    pts = []
+    if rng.random() < 0.5:
+        while len(pts) < n:
+            # a block of 2^k points, k <= 2, that still fits in n
+            ws = [weight() for _ in range(rng.randint(0, min(2, (n - len(pts)).bit_length() - 1)))]
+            chi, m = fiber(), rng.randint(1, 3)
+            for signs in itertools.product((1, -1), repeat=len(ws)):
+                tangent = tuple(tuple(s * x for x in w) for s, w in zip(signs, ws))
+                pts.append(kq.FixedPointDatum(tangent, chi, m))
+    else:
+        for _ in range(n):
+            tangent = tuple(weight() for _ in range(rng.randint(0, 2)))
+            pts.append(kq.FixedPointDatum(tangent, fiber(), rng.randint(1, 3)))
+    return kq.ClosedComponent("random", pts)
+
+
+def all_points_closed_index(component):
+    """Reference closed index over the product of every point's full denominator.
+
+    Point p of orbifold order m contributes its averaged numerator over
+    prod_j (1 - t^{-m w_j}); every numerator is multiplied by the other
+    points' denominators and the sum is divided by the product of all of
+    them.  Returns the quotient, or None when the sum is not a Laurent
+    polynomial.
+    """
+    pts = component.fixed_points
+    one = kq.WeightPolynomial.one(len(next(iter(pts[0].fiber_character.terms))))
+    denoms, numers = [], []
+    for p in pts:
+        m = p.orbifold_order
+        den, num = one, p.fiber_character
+        for w in p.tangent_weights:
+            den = den * (one - kq.WeightPolynomial.monomial(tuple(-m * x for x in w)))
+            num = num * kq.WeightPolynomial((tuple(-i * x for x in w), 1) for i in range(m))
+        denoms.append(den)
+        numers.append(kq.WeightPolynomial({v: c for v, c in num.items() if sum(v) % m == 0}))
+    total, full = kq.WeightPolynomial.zero(), one
+    for i, num in enumerate(numers):
+        for j, den in enumerate(denoms):
+            if j != i:
+                num = num * den
+        total = total + num
+        full = full * denoms[i]
+    try:
+        return kq.exact_divide(total, full)
+    except ArithmeticError:
+        return None

@@ -148,6 +148,27 @@ def test_moves_non_integer_fields_are_input_errors(files, capsys, fields):
     assert set(json.loads(out)) == {"error", "detail"}
 
 
+@pytest.mark.parametrize("component", [7, -1])
+def test_moves_component_out_of_range_is_input_error(files, capsys, component):
+    # the cycle has one component; a negative index must not pick the last one
+    k = kq.DiscreteKCycle(T1, ((1, kq.o_sphere(2)),))
+    path = files("mv.json", {"move": "glue_split", "cycle": k.to_dict(),
+                             "blocks": [[0], [1]], "component": component})
+    status, out = run(capsys, "moves", path)
+    assert status == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("bound", [2.5, -1, True])
+def test_moves_bad_enumeration_bound_is_input_error(files, capsys, bound):
+    a = kq.DiscreteKCycle(T1, ((1, kq.f_sphere(2)),)).to_dict()
+    path = files("mv.json", {"move": "disjoint_union", "a": a,
+                             "b": {**a, "enumeration_bound": bound}})
+    status, out = run(capsys, "moves", path)
+    assert status == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
 def test_moves_unknown_move(files, capsys):
     path = files("mv.json", {"move": "teleport"})
     status, out = run(capsys, "moves", path)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import kquant as kq
 from kquant.localization import _expand_point
-from helpers import (T1, T2, lazy_disk_family, random_closed_cycle_t1,
-                     random_closed_cycle_t2)
+from helpers import (T1, T2, all_points_closed_index, lazy_disk_family,
+                     random_closed_cycle_t1, random_closed_cycle_t2,
+                     random_torus_component)
 
 WP = kq.WeightPolynomial
 
@@ -54,6 +55,22 @@ def test_not_closed_rejected():
     comp = kq.ClosedComponent("disk", (kq.point((0,), (-1,)),))
     with pytest.raises(kq.NotClosed):
         kq.closed_index(comp, T1)
+
+
+def test_closed_index_matches_the_all_points_denominator():
+    rng = random.Random(31)
+    closed = 0
+    for _ in range(600):
+        comp = random_torus_component(rng)
+        ref = all_points_closed_index(comp)
+        if ref is None:
+            with pytest.raises(kq.NotClosed):
+                kq.closed_index(comp)
+        else:
+            assert kq.closed_index(comp) == ref, comp
+            closed += 1
+    # both verdicts are well represented
+    assert 200 < closed < 450
 
 
 def test_closed_sum_signs():

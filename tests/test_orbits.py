@@ -3,7 +3,7 @@ import random
 import pytest
 
 import kquant as kq
-from helpers import A1, A2, T1, T2, random_formal_character
+from helpers import A1, A2, A3, T1, T2, random_formal_character
 
 WP = kq.WeightPolynomial
 
@@ -35,11 +35,14 @@ def test_a2_orbit_has_weyl_group_points():
 
 
 def test_borel_weil_window():
-    for gamma in kq.dominant_window(A2, 4):
-        if not kq.is_regular_dominant(A2, gamma):
-            continue
-        oc = kq.orbit_cycle(A2, gamma)
-        assert kq.closed_index(oc.component, A2) == kq.weyl_character(A2, gamma)
+    # A4 at window 1 is the orbit of rho alone: 120 points, dimension 2^10
+    a4 = kq.build_root_datum("A", 4)
+    for datum, window in ((A2, 4), (A3, 3), (a4, 1)):
+        for gamma in kq.dominant_window(datum, window):
+            if not kq.is_regular_dominant(datum, gamma):
+                continue
+            oc = kq.orbit_cycle(datum, gamma)
+            assert kq.closed_index(oc.component, datum) == kq.weyl_character(datum, gamma)
 
 
 def test_singular_orbit_rejected():
@@ -87,17 +90,20 @@ def test_p_map_round_trip_a2():
 
 def test_type_a_series_matches_closed_route_at_several_polarizations():
     # no root pairs to zero with any of these; rank 1 has two directions up
-    # to scale, and (-7,) also checks normalization
-    xis = {A1: ((1,), (-1,), (-7,)), A2: ((1, 1), (1, 3), (-2, 1))}
+    # to scale, (-7,) also checks normalization, and None is the automatic
+    # choice.  Per datum: draws, window range, polarizations
+    cases = ((A1, 6, (2, 6), ((1,), (-1,), (-7,))),
+             (A2, 6, (2, 6), ((1, 1), (1, 3), (-2, 1))),
+             (A3, 3, (2, 3), (None, (1, 3, 9))))
     rng = random.Random(23)
-    for datum in (A1, A2):
-        for _ in range(6):
-            window = rng.randint(2, 6)
+    for datum, draws, windows, xis in cases:
+        for _ in range(draws):
+            window = rng.randint(*windows)
             fc = random_formal_character(rng, datum, window, regular_only=True)
             k = kq.p_map(fc)
             closed = kq.character_window(k, window)
             assert closed.coeffs == fc.coeffs
-            for xi in xis[datum]:
+            for xi in xis:
                 assert kq.polarized_index(k, xi, window).coeffs == closed.coeffs, (xi, fc.coeffs)
 
 
