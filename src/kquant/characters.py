@@ -11,17 +11,19 @@ Three layers:
   exact inside the window, unspecified outside.
 
 weyl_character produces the full weight polynomial of an irreducible by
-the antisymmetrization quotient; decompose inverts it by stripping
-maximal dominant terms.
+dividing its alternant by the Weyl denominator, one binomial 1 - t^{-alpha}
+per positive root; decompose inverts it by reflecting each weight of
+p * t^rho into the dominant chamber (the Weyl character formula read term
+by term).
 """
 
 from __future__ import annotations
 
-import functools
+import heapq
 from dataclasses import dataclass, field
 
-from .errors import CertificateFailed, NotDominant, NotInvariant, WindowExhausted
-from .root_data import (RootDatum, add, as_int, as_weight, is_dominant,
+from .errors import NotDominant, NotInvariant, WindowExhausted
+from .root_data import (RootDatum, add, as_int, as_weight, is_dominant, neg,
                         signed_orbit_with_images, simple_reflection, sub, sup_norm)
 
 
@@ -146,7 +148,10 @@ def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomi
     division is exact the quotient's support lies in the coordinate box
     [min_i(num) - min_i(den), max_i(num) - max_i(den)] (the per-coordinate
     extremes of a product add), so any step leaving that box certifies
-    inexactness and the box also bounds the number of steps.
+    inexactness and the box also bounds the number of steps.  A step
+    writes only at or below the term it clears, since every term of den
+    is at most its leading term, so the remainder's keys wait in a heap
+    of negated tuples and a cleared key never comes back.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -160,10 +165,14 @@ def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomi
     lead = max(den.terms)
     lead_c = den.terms[lead]
     rem = dict(num.terms)
+    heap = [neg(w) for w in rem]
+    heapq.heapify(heap)
     quot = {}
     while rem:
-        lw = max(rem)
-        lc = rem[lw]
+        lw = neg(heapq.heappop(heap))
+        lc = rem.get(lw)
+        if lc is None:  # cancelled after it was pushed
+            continue
         mw = sub(lw, lead)
         if any(x < a or x > b for x, a, b in zip(mw, lo, hi)) or lc % lead_c:
             raise ArithmeticError(f"not divisible: stuck at term {lw}")
@@ -173,6 +182,8 @@ def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomi
             v = add(mw, w)
             r = rem.get(v, 0) - mc * c
             if r:
+                if v not in rem:
+                    heapq.heappush(heap, neg(v))
                 rem[v] = r
             else:
                 rem.pop(v, None)
@@ -181,30 +192,26 @@ def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomi
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _weyl_character_cached(kind: str, rank: int, lam: tuple) -> WeightPolynomial:
-    from .root_data import build_root_datum
-
-    datum = build_root_datum(kind, rank)
-    lam_rho = add(lam, datum.rho)
-    numer = WeightPolynomial((img, s) for img, s, _ in signed_orbit_with_images(datum, lam_rho))
-    denom = WeightPolynomial((img, s) for img, s, _ in signed_orbit_with_images(datum, datum.rho))
-    return exact_divide(numer, denom)
-
-
 def weyl_character(datum: RootDatum, lam) -> WeightPolynomial:
     """Full weight polynomial of the irreducible with highest weight lam.
 
-    Computed by the antisymmetrization quotient:
-    sum_w det(w) t^{w(lam+rho)} divided by sum_w det(w) t^{w(rho)}.
-    For a torus the character is the single monomial t^lam.
+    The alternant sum_w det(w) t^{w(lam+rho)} over the Weyl denominator
+    sum_w det(w) t^{w rho} = t^rho prod_{alpha > 0} (1 - t^{-alpha}):
+    shifted by -rho, the alternant is divided by one binomial per
+    positive root.  For a torus the character is the single monomial t^lam.
     """
     lam = datum.check_weight(lam)
     if not is_dominant(datum, lam):
         raise NotDominant(f"{lam} is not dominant for {datum}")
     if datum.is_torus:
         return WeightPolynomial.monomial(lam)
-    return _weyl_character_cached(datum.kind, datum.rank, lam)
+    rho = datum.rho
+    out = WeightPolynomial((sub(img, rho), s)
+                           for img, s, _ in signed_orbit_with_images(datum, add(lam, rho)))
+    one = WeightPolynomial.one(datum.rank)
+    for alpha in datum.positive_roots:
+        out = exact_divide(out, one - WeightPolynomial.monomial(neg(alpha)))
+    return out
 
 
 def _check_invariant(datum: RootDatum, p: WeightPolynomial):
@@ -213,44 +220,30 @@ def _check_invariant(datum: RootDatum, p: WeightPolynomial):
             raise NotInvariant(f"polynomial is not invariant under reflection {i}")
 
 
-def _height(datum: RootDatum, w) -> int:
-    """<w, 2 rho_vee>: every simple root of A_n raises it by 2.
-
-    In fundamental coordinates 2 rho_vee pairs with omega_j (0-based) to
-    (j + 1) * (n - j).  A torus has no roots; its coordinate sum serves.
-    """
-    if datum.is_torus:
-        return sum(w)
-    n = datum.rank
-    return sum((j + 1) * (n - j) * x for j, x in enumerate(w))
-
-
 def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
     """Write a Weyl-invariant weight polynomial in the irreducible basis.
 
-    Repeatedly strips the maximal dominant term, where maximal means
-    largest height <w, 2 rho_vee>, ties broken lexicographically.  Every
-    other weight of the stripped character is lower by a positive sum of
-    simple roots, so strictly lower in height, and a stripped weight
-    never comes back.  Raises NotInvariant when the input is not a
-    virtual character, and CertificateFailed when 10,000 strips leave a
-    remainder.
+    By the Weyl character formula p * A_rho = sum_lam m_lam A_{lam+rho},
+    where A_x = sum_w det(w) t^{w x} is the alternant.  For invariant p
+    the left side is sum_nu c_nu A_{nu+rho}, so each term c_nu t^nu is
+    read on its own: reflecting nu + rho at a negative coordinate, with
+    a sign change each time, reaches the dominant chamber; a strictly
+    dominant end point lam + rho adds the signed c_nu to m_lam, and one
+    on a wall adds nothing.  A torus character is its own decomposition.
+    Raises NotInvariant when the input is not a virtual character.
     """
     _check_invariant(datum, p)
+    if datum.is_torus:
+        return Character(datum, p.terms)
     mults = {}
-    rem = p
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 10_000:
-            raise CertificateFailed("decomposition did not terminate")
-        dom = [w for w in rem.terms if is_dominant(datum, w)]
-        if not dom:
-            raise NotInvariant("nonzero invariant polynomial with no dominant term")
-        top = max(dom, key=lambda w: (_height(datum, w), w))
-        m = rem.terms[top]
-        mults[top] = m
-        rem = rem - m * weyl_character(datum, top)
+    for nu, c in p.terms.items():
+        x = add(nu, datum.rho)
+        while min(x) < 0:
+            x = simple_reflection(datum, x.index(min(x)), x)
+            c = -c
+        if min(x) > 0:
+            lam = sub(x, datum.rho)
+            mults[lam] = mults.get(lam, 0) + c
     return Character(datum, mults)
 
 
@@ -423,15 +416,6 @@ class FormalCharacter:
         return FormalCharacter(datum, as_int(d["window"]), coeffs)
 
 
-@functools.lru_cache(maxsize=None)
-def _tensor_mults_cached(kind, rank, lam, mu):
-    from .root_data import build_root_datum
-
-    datum = build_root_datum(kind, rank)
-    prod = weyl_character(datum, lam) * weyl_character(datum, mu)
-    return decompose(datum, prod).mults
-
-
 def formal_multiply(f: FormalCharacter, c: Character) -> FormalCharacter:
     """Multiply a window-truncated character by a finite virtual character.
 
@@ -457,7 +441,8 @@ def formal_multiply(f: FormalCharacter, c: Character) -> FormalCharacter:
     else:
         for lam, a in f.coeffs.items():
             for mu, b in c.mults.items():
-                for nu, m in _tensor_mults_cached(datum.kind, datum.rank, lam, mu).items():
+                prod = weyl_character(datum, lam) * weyl_character(datum, mu)
+                for nu, m in decompose(datum, prod).mults.items():
                     if sup_norm(nu) <= window:
                         out[nu] = out.get(nu, 0) + a * b * m
     return FormalCharacter(datum, window, out)

@@ -72,6 +72,8 @@ def _terms_table(rows, head=()):
 def _run_index(args):
     k = DiscreteKCycle.from_dict(_load(args.input))
     if args.window is None:
+        if args.polarization is not None:
+            raise CLIError("index takes --polarization only with --window")
         terms = closed_sum(k).to_list()
         out = {"terms": terms}
         return 0, out, _terms_table(terms)
@@ -247,8 +249,9 @@ def _build_parser() -> _Parser:
                 p.add_argument("--gamma", help="weight, e.g. 3 or 2,5")
         p.add_argument("--window", type=int, default=None,
                        help="window bound (sup-norm) for series output")
-        p.add_argument("--polarization", default=None,
-                       help="rational vector x/y,... overriding the default")
+        if verb in ("index", "quantize", "moves"):
+            p.add_argument("--polarization", default=None,
+                           help="rational vector x/y,... overriding the default")
         p.add_argument("--format", choices=("json", "table"), default="json",
                        dest="output_format")
     return parser
@@ -261,7 +264,7 @@ def main(argv=None) -> int:
             raise CLIError("a verb is required; see --help")
         if args.window is not None and args.window < 0:
             raise CLIError("--window must be >= 0")
-        if args.polarization is not None:
+        if getattr(args, "polarization", None) is not None:
             args.polarization = _parse_vector(args.polarization)
         if getattr(args, "gamma", None) is not None:
             args.gamma = _parse_int_vector(args.gamma)

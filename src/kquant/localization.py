@@ -76,6 +76,7 @@ class FixedPointDatum:
                                WeightPolynomial(self.fiber_character))
         if not self.fiber_character:
             raise ValueError("fiber character must be nonzero")
+        object.__setattr__(self, "orbifold_order", as_int(self.orbifold_order))
         if self.orbifold_order < 1:
             raise ValueError(f"orbifold order must be >= 1, got {self.orbifold_order}")
 
@@ -88,7 +89,7 @@ class FixedPointDatum:
     def from_dict(d):
         return FixedPointDatum(tuple(tuple(w) for w in d["tangent"]),
                                WeightPolynomial.from_list(d["fiber"]),
-                               as_int(d.get("order", 1)))
+                               d.get("order", 1))
 
 
 def point(fiber, *tangent_weights, order=1) -> FixedPointDatum:
@@ -234,10 +235,12 @@ def closed_index(component: ClosedComponent, datum: RootDatum = None) -> WeightP
     Over u, the lex-positive one of +-v, a factor 1 - t^v (v = -m w) is
     1 - t^u or -t^{-u} (1 - t^u); the latter puts -t^u in the numerator.
     The common denominator is the product of the distinct 1 - t^u, each
-    at its largest multiplicity at one point.  Divisibility does not
-    depend on that choice, so its failure raises NotClosed: the data
-    cannot come from a closed orbifold.  Orbifold orders act by diagonal
-    cyclic averaging as described in the module docstring.
+    at its largest multiplicity at one point; the sum over it is divided
+    by one binomial at a time, which is exact exactly when the product
+    divides.  Divisibility does not depend on that choice, so its failure
+    raises NotClosed: the data cannot come from a closed orbifold.
+    Orbifold orders act by diagonal cyclic averaging as described in the
+    module docstring.
     """
     rank = len(next(iter(component.fixed_points[0].fiber_character.terms)))
     one = WeightPolynomial.one(rank)
@@ -262,17 +265,17 @@ def closed_index(component: ClosedComponent, datum: RootDatum = None) -> WeightP
             num = WeightPolynomial({w: c for w, c in num.items() if sum(w) % m == 0})
         local.append((num, factors))
         common |= factors
-    total, den = WeightPolynomial.zero(), one
+    total = WeightPolynomial.zero()
     for num, factors in local:
         for u in (common - factors).elements():
             num = num * (one - WeightPolynomial.monomial(u))
         total = total + num
-    for u in common.elements():
-        den = den * (one - WeightPolynomial.monomial(u))
     try:
-        return exact_divide(total, den)
+        for u in common.elements():
+            total = exact_divide(total, one - WeightPolynomial.monomial(u))
     except ArithmeticError as exc:
         raise NotClosed(f"component {component.label!r}: {exc}") from exc
+    return total
 
 
 def closed_sum(k: DiscreteKCycle) -> WeightPolynomial:

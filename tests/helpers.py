@@ -214,3 +214,69 @@ def all_points_closed_index(component):
         return kq.exact_divide(total, full)
     except ArithmeticError:
         return None
+
+
+def rescan_exact_divide(num, den):
+    """Reference long division that rescans the remainder with max(rem).
+
+    Leading-term elimination in lexicographic order with the quotient-box
+    certificate of kquant.exact_divide; raises ArithmeticError when the
+    division is not exact.
+    """
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num:
+        return kq.WeightPolynomial.zero()
+    rank = len(next(iter(den.terms)))
+    lo = tuple(min(w[i] for w in num.terms) - min(w[i] for w in den.terms) for i in range(rank))
+    hi = tuple(max(w[i] for w in num.terms) - max(w[i] for w in den.terms) for i in range(rank))
+    if any(a > b for a, b in zip(lo, hi)):
+        raise ArithmeticError("not divisible: empty quotient box")
+    lead = max(den.terms)
+    lead_c = den.terms[lead]
+    rem = dict(num.terms)
+    quot = {}
+    while rem:
+        lw = max(rem)
+        lc = rem[lw]
+        mw = tuple(a - b for a, b in zip(lw, lead))
+        if any(x < a or x > b for x, a, b in zip(mw, lo, hi)) or lc % lead_c:
+            raise ArithmeticError(f"not divisible: stuck at term {lw}")
+        mc = lc // lead_c
+        quot[mw] = mc
+        for w, c in den.terms.items():
+            v = tuple(a + b for a, b in zip(mw, w))
+            r = rem.get(v, 0) - mc * c
+            if r:
+                rem[v] = r
+            else:
+                rem.pop(v, None)
+    return kq.WeightPolynomial(quot)
+
+
+def strip_loop_decompose(datum, p):
+    """Reference type A decomposition of an invariant p by stripping.
+
+    Repeatedly strips the dominant term of largest height <w, 2 rho_vee>
+    (ties broken lexicographically) by subtracting its full character;
+    in fundamental coordinates 2 rho_vee pairs with omega_j (0-based) to
+    (j + 1) * (n - j).  Returns the multiplicity dict.
+    """
+    n = datum.rank
+    height = lambda w: (sum((j + 1) * (n - j) * x for j, x in enumerate(w)), w)
+    mults = {}
+    rem = p
+    while rem:
+        top = max((w for w in rem.terms if min(w) >= 0), key=height)
+        mults[top] = rem.terms[top]
+        rem = rem - mults[top] * kq.weyl_character(datum, top)
+    return mults
+
+
+def random_virtual_character(rng, datum, top):
+    """A random sum of 1-4 irreducibles of coordinates <= top, multiplicities -3..3."""
+    total = kq.WeightPolynomial.zero()
+    for _ in range(rng.randint(1, 4)):
+        lam = tuple(rng.randint(0, top) for _ in range(datum.rank))
+        total = total + rng.randint(-3, 3) * kq.weyl_character(datum, lam)
+    return total

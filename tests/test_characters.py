@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import kquant as kq
 from kquant.characters import exact_divide
-from helpers import A1, A2, T1, T2, random_formal_character
+from helpers import (A1, A2, A3, T1, T2, random_formal_character, random_virtual_character,
+                     rescan_exact_divide, strip_loop_decompose)
 
 WP = kq.WeightPolynomial
+A4 = kq.build_root_datum("A", 4)
 
 
 def test_weight_polynomial_algebra():
@@ -248,10 +250,62 @@ def test_formal_character_sum_and_agreement_match_a_box_walk():
     assert verdicts == {True, False}
 
 
-def test_decompose_guard_is_a_certificate(monkeypatch):
-    from kquant import characters
+def test_decompose_matches_the_strip_loop():
+    rng = random.Random(11)
+    negative = 0
+    for datum, top, draws in ((A1, 6, 40), (A2, 4, 40), (A3, 2, 30), (A4, 1, 20)):
+        for _ in range(draws):
+            p = random_virtual_character(rng, datum, top)
+            mults = kq.decompose(datum, p).mults
+            assert mults == strip_loop_decompose(datum, p)
+            negative += any(m < 0 for m in mults.values())
+            w = tuple(rng.randint(-top, top) for _ in range(datum.rank))
+            if any(w):  # only 0 is fixed by every reflection
+                with pytest.raises(kq.NotInvariant):
+                    kq.decompose(datum, p + WP.monomial(w))
+    assert negative > 10
 
-    # a character that strips nothing never empties the remainder
-    monkeypatch.setattr(characters, "weyl_character", lambda datum, lam: WP.zero())
-    with pytest.raises(kq.CertificateFailed):
-        kq.decompose(A1, kq.weyl_character(A1, (2,)))
+
+def test_decompose_a4_rho_tensor_square():
+    rho = (1, 1, 1, 1)
+    chi = kq.weyl_character(A4, rho)
+    square = kq.decompose(A4, chi * chi)
+    # figures of the strip loop, too slow to rerun in a test (about 20 s):
+    # 59 constituents, total multiplicity 242, weighted highest-weight sum
+    assert (len(square.mults), sum(square.mults.values())) == (59, 242)
+    assert [sum(m * lam[i] for lam, m in square.mults.items()) for i in range(4)] \
+        == [330, 279, 279, 330]
+    assert [square.mult(w) for w in (rho, (2, 2, 2, 2), (0, 0, 0, 0))] == [16, 1, 1]
+    assert sum(m * kq.weyl_dimension(A4, lam) for lam, m in square.mults.items()) == 1024 ** 2
+
+
+_poly_terms = st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                 st.integers(-3, 3)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_terms, _poly_terms, _poly_terms, st.booleans())
+def test_exact_divide_matches_the_rescanning_reference(aterms, bterms, noise, binomials):
+    b = WP(bterms)
+    if binomials:  # a product of binomials 1 - t^u, as the engine divides by
+        b = WP.one(2)
+        for u, _ in bterms:
+            if any(u):
+                b = b * (WP.one(2) - WP.monomial(u))
+    num = WP(aterms) * b + WP(noise)
+    if not b:
+        return
+    try:
+        expected = rescan_exact_divide(num, b)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as got:
+            exact_divide(num, b)
+        assert str(got.value) == str(exc)
+    else:
+        assert exact_divide(num, b) == expected
+        assert expected * b == num
+
+
+def test_weyl_character_returns_a_fresh_polynomial():
+    kq.weyl_character(A2, (1, 0)).terms.clear()
+    assert kq.weyl_character(A2, (1, 0)) == WP({(1, 0): 1, (-1, 1): 1, (0, -1): 1})

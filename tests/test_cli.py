@@ -175,6 +175,18 @@ def test_moves_unknown_move(files, capsys):
     assert status == 1
 
 
+@pytest.mark.parametrize("verb", ["verify-qr", "reduce", "vanishing", "orbit", "index"])
+def test_unused_polarization_is_input_error(files, capsys, verb):
+    model = files("m.json", {"rank": 1, "weights": [[1], [1]], "shift": [0]})
+    argv = {"verify-qr": [model], "reduce": [model, "--gamma", "3"],
+            "vanishing": [model], "orbit": ["--group", "A1", "--gamma", "2"],
+            "index": [files("c.json", fn_cycle_dict(1))]}[verb]
+    assert run(capsys, verb, *argv)[0] == 0
+    status, out = run(capsys, verb, *argv, "--polarization", "0")
+    assert status == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
 def test_vanishing(files, capsys):
     path = files("m.json", {"rank": 2, "weights": [[1, 0], [0, 1]],
                             "shift": [-1, -1]})

@@ -23,6 +23,13 @@ def test_fixed_point_validation():
         kq.point((0,), (1,), order=0)
 
 
+def test_fixed_point_rejects_a_non_integer_order():
+    # as from_dict does; 2.5 would otherwise reach closed_index's range(m)
+    for order in (2.5, True):
+        with pytest.raises(TypeError):
+            kq.point((0,), (1,), order=order)
+
+
 def test_fixed_point_roundtrip():
     p = kq.point((2,), (1,), (-3,), order=2)
     d = p.to_dict()
