@@ -77,10 +77,6 @@ class WeightPolynomial:
         """Evaluation at the identity: sum of all coefficients."""
         return sum(self.terms.values())
 
-    def mapped(self, f) -> "WeightPolynomial":
-        """Push forward along a weight map f (e.g. a reflection)."""
-        return WeightPolynomial((f(w), c) for w, c in self.terms.items())
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -215,8 +211,9 @@ def weyl_character(datum: RootDatum, lam) -> WeightPolynomial:
 
 
 def _check_invariant(datum: RootDatum, p: WeightPolynomial):
+    """NotInvariant unless every simple reflection maps each term onto an equal one."""
     for i in range(datum.rank if not datum.is_torus else 0):
-        if p.mapped(lambda w, i=i: simple_reflection(datum, i, w)) != p:
+        if any(p.terms.get(simple_reflection(datum, i, w)) != c for w, c in p.terms.items()):
             raise NotInvariant(f"polynomial is not invariant under reflection {i}")
 
 

@@ -35,10 +35,12 @@ weight of the window; its report expands the maps into rows only when
 asked.  vanishing_decomposition solves V^mu = 0 exactly: on the stratum
 where exactly the coordinates in S are nonzero the condition is
 <w_j, mu(z)> = 0 for j in S, a linear system in the action variables
-a_j = |z_j|^2 / 2 whose solution set is a rational polytope; connected
-components of the full zero set are obtained by gluing strata whose
-closures touch; the components are kept on the model for
-check_compatibility.
+a_j = |z_j|^2 / 2 whose solution set is a rational polytope.  Each
+column set's Gram system is solved once per model and every stratum's
+vertices are read off that table.  mu is constant on a stratum, so the
+connected components of the full zero set are the fibres of mu: the
+strata grouped by their mu value.  The components are kept on the model
+for check_compatibility.
 
 Every determinant, square solve and nullspace here (separation, the
 counter's adjugate and walls, stratum vertices, stabilizers) is the
@@ -432,8 +434,8 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
 class VanishingComponent:
     """One connected component of the moment-flow zero set.
 
-    support lists the coordinates allowed to be nonzero (the union over
-    the glued strata, each recorded in strata); the stabilizer
+    support lists the coordinates allowed to be nonzero (the union of
+    the strata at one mu value, each recorded in strata); the stabilizer
     subalgebra is cut out by the support's weights; mu is constant on
     the component, with value mu_value and exact diameter mu_diameter.
     """
@@ -454,99 +456,89 @@ class VanishingComponent:
                 "mu_diameter": str(self.mu_diameter)}
 
 
-def _stratum_vertices(m: LinearModel, support):
-    """Vertices of {a >= 0 on support : <w_i, mu> = 0 for i in support}.
+def _column_table(m: LinearModel) -> list:
+    """Every candidate vertex of the zero set, one integer solve per column set.
 
-    A vertex solves the Gram subsystem of its nonzero coordinates, which
-    is singular above m.rank columns (W_S^T W_S has rank <= m.rank).  Each
-    is one integer solve with det g > 0, a principal minor of a Gram matrix,
-    so the checks run on g * a; only the vertices become Fractions.
+    A vertex of a stratum solves the Gram subsystem of its nonzero
+    coordinates, which is singular above m.rank columns (W^T W has rank
+    <= m.rank).  That subsystem depends only on its own weights and the
+    shift, so each column set of at most m.rank weights is solved once
+    per model.  Rows are (cols, g, g * x, holds) for the solutions with
+    det g > 0 (a principal minor of the Gram matrix) and x >= 0; holds
+    is the set of j with <w_j, mu> = 0 at that point, checked on g * x.
     """
-    ws = [m.weights[j] for j in support]
-    k = len(ws)
+    ws = m.weights
     gram = [[dot(u, v) for v in ws] for u in ws]
     rhs = [-dot(u, m.shift) for u in ws]
-    verts = set()
-    for size in range(min(k, m.rank) + 1):
-        for cols in itertools.combinations(range(k), size):
+    table = []
+    for size in range(min(len(ws), m.rank) + 1):
+        for cols in itertools.combinations(range(len(ws)), size):
             g, gx = solve([[gram[i][c] for c in cols] for i in cols], [rhs[i] for i in cols])
-            if not g or min(gx, default=0) < 0:
-                continue
-            # candidate must satisfy every equation, not just the chosen ones
-            if all(sum(row[c] * x for c, x in zip(cols, gx)) == g * r
-                   for row, r in zip(gram, rhs)):
-                at = dict(zip(cols, gx))
-                verts.add(tuple(Fraction(at.get(c, 0), g) for c in range(k)))
+            if g and min(gx, default=0) >= 0:
+                holds = {j for j, (row, r) in enumerate(zip(gram, rhs))
+                         if sum(row[c] * x for c, x in zip(cols, gx)) == g * r}
+                table.append((cols, g, gx, holds))
+    return table
+
+
+def _stratum_vertices(table, support):
+    """Vertices of {a >= 0 on support : <w_i, mu> = 0 for i in support}.
+
+    A row of _column_table is a vertex of the stratum exactly when
+    cols <= support <= holds; vertices are Fractions indexed by position
+    in support.
+    """
+    verts = set()
+    for cols, g, gx, holds in table:
+        if holds.issuperset(support) and set(cols).issubset(support):
+            at = dict(zip(cols, gx))
+            verts.add(tuple(Fraction(at.get(j, 0), g) for j in support))
     return sorted(verts)
 
 
 def vanishing_decomposition(m: LinearModel) -> list:
     """Connected components of V^mu = 0, exactly, for a proper model.
 
-    Enumerates the 2^d coordinate supports, solves each stratum's
-    rational system, and glues strata whose closures touch.  Mu is
-    pinned to one value per component; all components of a proper model
-    are compact, which is certified by the Farkas vector.  The
-    components are computed once per model and kept on it; each call
-    returns a fresh list of them.
+    Enumerates the 2^d coordinate supports and reads each stratum's
+    vertices off one table of Gram solves (_column_table).  mu is
+    constant on a stratum (mu - c lies in the span of its weights and
+    is orthogonal to it), and the points with one value p of mu form a
+    convex polytope, so the components are the fibres of mu: the
+    strata grouped by their mu value.  CertificateFailed if the vertices
+    of one stratum disagree on mu, or if a group misses its union
+    support as a stratum (the average of its points has that support).
+    All components of a proper model are compact, which is certified by
+    the Farkas vector.  The components are computed once per model and
+    kept on it; each call returns a fresh list of them.
     """
     return list(m._components)
 
 
 def _vanishing_components(m: LinearModel) -> tuple:
     farkas_vector(m)  # NotProper for improper models
+    table = _column_table(m)
     d = len(m.weights)
-    strata = {}
-    for size in range(0, d + 1):
-        for support in itertools.combinations(range(d), size):
-            verts = _stratum_vertices(m, support)
-            if not verts:
-                continue
-            if not all(any(v[i] > 0 for v in verts) for i in range(size)):
-                continue  # no point with support exactly this set
-            mu = list(Fraction(x) for x in m.shift)
-            v0 = verts[0]
-            for pos, j in enumerate(support):
-                for t in range(m.rank):
-                    mu[t] += v0[pos] * m.weights[j][t]
-            strata[support] = (verts, tuple(mu))
-
-    parent = {s: s for s in strata}
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    keys = sorted(strata, key=len)
-    for small, big in itertools.combinations(keys, 2):
-        if not set(small) < set(big):
-            continue
-        verts, _ = strata[big]
-        idx = {j: pos for pos, j in enumerate(big)}
-        face = [v for v in verts
-                if all(v[pos] == 0 for pos, j in enumerate(big) if j not in small)]
-        if face and all(any(v[idx[j]] > 0 for v in face) for j in small):
-            ra, rb = find(small), find(big)
-            if ra != rb:
-                parent[rb] = ra
-
     groups = {}
-    for s in strata:
-        groups.setdefault(find(s), []).append(s)
+    for size in range(d + 1):
+        for support in itertools.combinations(range(d), size):
+            verts = _stratum_vertices(table, support)
+            if not verts or not all(any(v[i] for v in verts) for i in range(size)):
+                continue  # no point with support exactly this set
+            mus = {tuple(Fraction(c) + sum(x * m.weights[j][t] for x, j in zip(v, support) if x)
+                         for t, c in enumerate(m.shift))
+                   for v in verts}
+            if len(mus) != 1:
+                raise CertificateFailed(f"vertices of stratum {support} disagree on mu")
+            groups.setdefault(mus.pop(), []).append(support)
     out = []
-    for members in groups.values():
-        members = sorted(members, key=lambda s: (len(s), s))
-        union = tuple(sorted(set().union(*[set(s) for s in members]) or set()))
-        mus = {strata[s][1] for s in members}
-        if len(mus) != 1:
-            raise CertificateFailed(f"glued strata {members} disagree on the mu value")
-        rows = [m.weights[j] for j in union]
-        basis = tuple(nullspace(rows, m.rank))
+    for mu, strata in groups.items():
+        union = tuple(sorted(set().union(*strata)))
+        if union not in strata:
+            raise CertificateFailed(f"strata {strata} at mu = {mu} miss their union {union}")
+        basis = tuple(nullspace([m.weights[j] for j in union], m.rank))
         out.append(VanishingComponent(
-            support=union, strata=tuple(members), stabilizer_basis=basis,
-            mu_value=mus.pop(), compact=True, mu_diameter=Fraction(0)))
+            support=union, strata=tuple(strata), stabilizer_basis=basis,
+            mu_value=mu, compact=True, mu_diameter=Fraction(0)))
     out.sort(key=lambda comp: (len(comp.support), comp.support))
     return tuple(out)
 

@@ -140,21 +140,19 @@ class DiscreteKCycle:
     def __post_init__(self):
         if self.enumeration_bound is not None and as_int(self.enumeration_bound) < 0:
             raise ValueError(f"enumeration bound must be >= 0, got {self.enumeration_bound}")
-        comps = []
-        for sign, comp in self.components:
-            sign = as_int(sign)
-            if sign not in (-1, 1):
-                raise ValueError(f"component sign must be +-1, got {sign}")
-            self._check_component(comp)
-            comps.append((sign, comp))
-        self.components = tuple(comps)
+        self.components = tuple(self._checked(s, c) for s, c in self.components)
 
-    def _check_component(self, comp: ClosedComponent):
+    def _checked(self, sign, comp: ClosedComponent):
+        """(sign, comp) once sign is +-1 and comp's weights fit the datum."""
+        sign = as_int(sign)
+        if sign not in (-1, 1):
+            raise ValueError(f"component sign must be +-1, got {sign}")
         for p in comp.fixed_points:
             for w in p.tangent_weights:
                 self.datum.check_weight(w)
             for w in p.fiber_character.terms:
                 self.datum.check_weight(w)
+        return sign, comp
 
     @property
     def is_finite(self) -> bool:
@@ -174,12 +172,8 @@ class DiscreteKCycle:
             return self
         if self.enumeration_bound is None:
             raise EnumerationUnbounded("infinite component family without enumeration_bound")
-        extra = []
-        for i in range(self.enumeration_bound + 1):
-            s, c = self.family(i)
-            self._check_component(c)
-            extra.append((as_int(s), c))
-        return DiscreteKCycle(self.datum, self.components + tuple(extra))
+        extra = tuple(self.family(i) for i in range(self.enumeration_bound + 1))
+        return DiscreteKCycle(self.datum, self.components + extra)  # checked there
 
     def iter_certified(self, xi, maxpair):
         """Yield components whose terms can reach pairing <= maxpair.
@@ -196,8 +190,7 @@ class DiscreteKCycle:
             raise EnumerationUnbounded("infinite component family without enumeration_bound")
         prev = None
         for i in range(self.enumeration_bound + 1):
-            s, c = self.family(i)
-            self._check_component(c)
+            s, c = self._checked(*self.family(i))
             low = min(dot(w, xi) for p in c.fixed_points for w in p.fiber_character.terms)
             if prev is not None and low < prev:
                 raise EnumerationUnbounded(
@@ -205,7 +198,7 @@ class DiscreteKCycle:
             prev = low
             if low > maxpair:
                 return
-            yield (as_int(s), c)
+            yield s, c
         raise EnumerationUnbounded(
             f"enumeration bound {self.enumeration_bound} does not certify the window")
 

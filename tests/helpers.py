@@ -6,10 +6,13 @@ the caller, so every test run sees the same corpus.
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import kquant as kq
+from kquant._exact import nullspace, solve
+from kquant.linear_models import VanishingComponent
 
 T1 = kq.build_root_datum("torus", 1)
 T2 = kq.build_root_datum("torus", 2)
@@ -280,3 +283,79 @@ def random_virtual_character(rng, datum, top):
         lam = tuple(rng.randint(0, top) for _ in range(datum.rank))
         total = total + rng.randint(-3, 3) * kq.weyl_character(datum, lam)
     return total
+
+
+def per_support_vertices(m, support):
+    """Reference stratum vertices: every column subset of the support solved anew.
+
+    A vertex solves the Gram subsystem of its nonzero coordinates (at
+    most m.rank of them) and must satisfy every equation of the support;
+    vertices are Fractions indexed by position in the support.
+    """
+    ws = [m.weights[j] for j in support]
+    k = len(ws)
+    gram = [[sum(map(operator.mul, u, v)) for v in ws] for u in ws]
+    rhs = [-sum(map(operator.mul, u, m.shift)) for u in ws]
+    verts = set()
+    for size in range(min(k, m.rank) + 1):
+        for cols in itertools.combinations(range(k), size):
+            g, gx = solve([[gram[i][c] for c in cols] for i in cols], [rhs[i] for i in cols])
+            if not g or min(gx, default=0) < 0:
+                continue
+            if all(sum(row[c] * x for c, x in zip(cols, gx)) == g * r
+                   for row, r in zip(gram, rhs)):
+                at = dict(zip(cols, gx))
+                verts.add(tuple(Fraction(at.get(c, 0), g) for c in range(k)))
+    return sorted(verts)
+
+
+def glued_components(m):
+    """Reference vanishing components by gluing strata whose closures touch.
+
+    Solves every support on its own (per_support_vertices), joins a
+    stratum to each larger one whose closure has a face with exactly its
+    support (union-find), and takes mu from a first vertex.  Returns the
+    components in the engine's order, by support size and then support.
+    """
+    d = len(m.weights)
+    strata = {}
+    for size in range(d + 1):
+        for support in itertools.combinations(range(d), size):
+            verts = per_support_vertices(m, support)
+            if not verts or not all(any(v[i] > 0 for v in verts) for i in range(size)):
+                continue
+            mu = [Fraction(x) for x in m.shift]
+            for pos, j in enumerate(support):
+                for t in range(m.rank):
+                    mu[t] += verts[0][pos] * m.weights[j][t]
+            strata[support] = (verts, tuple(mu))
+    parent = {s: s for s in strata}
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    for small, big in itertools.combinations(sorted(strata, key=len), 2):
+        if not set(small) < set(big):
+            continue
+        idx = {j: pos for pos, j in enumerate(big)}
+        face = [v for v in strata[big][0]
+                if all(v[pos] == 0 for pos, j in enumerate(big) if j not in small)]
+        if face and all(any(v[idx[j]] > 0 for v in face) for j in small):
+            parent[find(big)] = find(small)
+    groups = {}
+    for s in strata:
+        groups.setdefault(find(s), []).append(s)
+    out = []
+    for members in groups.values():
+        members.sort(key=lambda s: (len(s), s))
+        union = tuple(sorted(set().union(*members)))
+        mus = {strata[s][1] for s in members}
+        assert len(mus) == 1, (m.to_dict(), members)
+        out.append(VanishingComponent(
+            support=union, strata=tuple(members),
+            stabilizer_basis=tuple(nullspace([m.weights[j] for j in union], m.rank)),
+            mu_value=mus.pop(), compact=True, mu_diameter=Fraction(0)))
+    out.sort(key=lambda comp: (len(comp.support), comp.support))
+    return out

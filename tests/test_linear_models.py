@@ -1,15 +1,19 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kquant as kq
-from helpers import T1, fraction_solve, random_proper_model
+from helpers import T1, fraction_solve, glued_components, random_proper_model
 
 WP = kq.WeightPolynomial
 
@@ -543,8 +547,55 @@ def test_glued_strata_certificate_is_a_typed_error(monkeypatch):
         return [(Fraction(1), Fraction(0))] + verts if support == (0, 1) else verts
 
     monkeypatch.setattr(lm, "_stratum_vertices", skewed)
-    with pytest.raises(kq.CertificateFailed):
+    with pytest.raises(kq.CertificateFailed, match="disagree on mu"):
         kq.vanishing_decomposition(kq.linear_model([(1,), (2,)], (-2,)))
+
+
+def test_missing_union_stratum_is_a_typed_error(monkeypatch):
+    from kquant import linear_models as lm
+
+    real = lm._stratum_vertices
+
+    def holed(table, support):
+        # the open segment between the two mu = 0 points goes missing
+        return [] if support == (0, 1) else real(table, support)
+
+    monkeypatch.setattr(lm, "_stratum_vertices", holed)
+    with pytest.raises(kq.CertificateFailed, match=r"miss their union \(0, 1\)"):
+        kq.vanishing_decomposition(kq.linear_model([(1,), (2,)], (-2,)))
+
+
+_FAULTS = {  # name: (patched _stratum_vertices, expected message)
+    "skewed": ("lambda t, s: [(Fraction(1), Fraction(0))] + real(t, s) if s == (0, 1) "
+               "else real(t, s)", "disagree on mu"),
+    "holed": ("lambda t, s: [] if s == (0, 1) else real(t, s)", "miss their union"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_vanishing_certificates_raise_under_optimize(fault):
+    # the same faults as the two tests above, in an interpreter that strips asserts
+    script = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "import kquant as kq",
+        "from kquant import linear_models as lm",
+        "assert False, 'asserts are live'",
+        "real = lm._stratum_vertices",
+        f"lm._stratum_vertices = {_FAULTS[fault][0]}",
+        "try:",
+        "    kq.vanishing_decomposition(kq.linear_model([(1,), (2,)], (-2,)))",
+        "except kq.CertificateFailed as exc:",
+        "    print(exc)",
+        "    sys.exit(0)",
+        "sys.exit('no CertificateFailed')",
+    ])
+    src = str(Path(kq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert _FAULTS[fault][1] in out.stdout
 
 
 def test_separation_certificate_is_a_typed_error(monkeypatch):
@@ -680,17 +731,39 @@ def _uncapped_vertices(m, support):
 def test_stratum_vertices_match_uncapped_enumeration():
     # only column sets of size <= rank are solved; larger Gram subsystems
     # are singular, so every support must give the same vertex list
-    from kquant.linear_models import _stratum_vertices
+    from kquant.linear_models import _column_table, _stratum_vertices
 
     nonzero = 0
     for m in _wide_models():
         d = len(m.weights)
+        table = _column_table(m)
         for support in itertools.chain.from_iterable(
                 itertools.combinations(range(d), size) for size in range(d + 1)):
-            verts = _stratum_vertices(m, support)
+            verts = _stratum_vertices(table, support)
             assert verts == _uncapped_vertices(m, support), (m.to_dict(), support)
             nonzero += sum(any(v) for v in verts)
     assert nonzero > 100
+
+
+def test_vanishing_components_match_glued_reference():
+    # the fibres of mu, read off one table of solves, against per-support
+    # solves glued along touching closures
+    rng = random.Random(35)
+    models = [random_proper_model(rng, max_d=7, max_r=3) for _ in range(12)]
+    for _ in range(12):
+        ws = random_proper_model(rng, max_d=7, max_r=3).weights
+        picks = rng.choices(ws, k=rng.randint(1, 3))
+        models.append(kq.linear_model(ws, tuple(-sum(c) for c in zip(*picks))))
+    sizes = set()
+    for m in _wide_models() + models:
+        got = kq.vanishing_decomposition(m)
+        ref = glued_components(m)
+        assert [(c.support, c.strata, c.stabilizer_basis, c.mu_value) for c in got] == \
+            [(c.support, c.strata, c.stabilizer_basis, c.mu_value) for c in ref], m.to_dict()
+        for c in got:
+            assert all(type(x) is Fraction for x in c.mu_value)
+            sizes.add(len(c.strata))
+    assert max(sizes) >= 4
 
 
 def test_vanishing_random_corpus_compact_and_pinned():
@@ -724,12 +797,14 @@ def _residual_grid(weights, shift, box, n):
 
 def _component_cloud(m, comps, per_stratum=400):
     rng = np.random.default_rng(0)
+    from kquant.linear_models import _column_table, _stratum_vertices
+
+    table = _column_table(m)
     pts = []
     for comp in comps:
         for stratum in comp.strata:
-            from kquant.linear_models import _stratum_vertices
             verts = np.array([[float(x) for x in v]
-                              for v in _stratum_vertices(m, stratum)])
+                              for v in _stratum_vertices(table, stratum)])
             lam = rng.dirichlet(np.ones(len(verts)), size=per_stratum)
             local = lam @ verts
             full = np.zeros((per_stratum, len(m.weights)))

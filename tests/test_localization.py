@@ -263,6 +263,16 @@ def test_family_monotonicity_enforced():
         kq.polarized_index(fam, (1,), 5)
 
 
+def test_family_signs_are_checked_on_every_route():
+    # a family's sign is checked as a finite cycle's is, not only as an int
+    fam = kq.DiscreteKCycle(T1, (), lambda i: (2, kq.f_sphere(i)), enumeration_bound=5)
+    routes = (lambda: kq.polarized_index(fam, (1,), 3), fam.materialized,
+              lambda: kq.closed_sum(fam), lambda: list(fam.iter_certified((1,), 3)))
+    for route in routes:
+        with pytest.raises(ValueError, match=r"component sign must be \+-1, got 2"):
+            route()
+
+
 def test_character_window_matches_closed():
     rng = random.Random(4)
     k = random_closed_cycle_t1(rng)
