@@ -4,6 +4,10 @@ Fraction-free Gauss-Jordan elimination (Bareiss 1968, applied above the
 pivot as well as below) replaces each row by (p * row - f * pivot_row) /
 prev, p the new pivot and prev the one before; the division is exact
 because every entry is a minor of the input, so no Fraction is built.
+solve (a square system with its determinant), nullspace and cramer_kit
+(a greedy basis of a span with the rows that solve for it) are one such
+elimination each.  lattice_tests alone eliminates differently: by
+unimodular row and column operations, for the group vectors generate.
 """
 
 from __future__ import annotations
@@ -36,13 +40,6 @@ def _eliminate(rows, ncols):
         pivots.append(c)
         prev = p
     return a, pivots, prev, sign
-
-
-def det(mat):
-    """Determinant of a square integer matrix (1 for the empty one)."""
-    n = len(mat)
-    _, pivots, last, sign = _eliminate(mat, n)
-    return sign * last if len(pivots) == n else 0
 
 
 def solve(mat, rhs):
@@ -78,17 +75,22 @@ def nullspace(rows, width):
     return basis
 
 
-def cramer_kit(cols, rank):
-    """(rowset, matrix, det) making the column system square and invertible.
+def cramer_kit(vectors, rank):
+    """(basis, det, left): a greedy basis of the vectors' span, solved once.
 
-    rowset is the lexicographically first independent row choice (the
-    pivots of the columns taken as rows); None for dependent columns.
+    One elimination of [W | I], W the rank x d matrix with the vectors as
+    columns.  basis lists (by position) each vector independent of the
+    vectors before it: the pivot columns.  left is the identity block of
+    the pivot rows, one row per basis vector, signed so that
+    left * W[:, basis] = det * I with det > 0; for y in the span of the
+    vectors, det * a = left * y is the one a with W[:, basis] a = y.
     """
-    _, rowset, _, _ = _eliminate(cols, rank)
-    if len(rowset) < len(cols):
-        return None
-    mat = [[c[t] for c in cols] for t in rowset]
-    return tuple(rowset), mat, det(mat)
+    d = len(vectors)
+    a, basis, last, _ = _eliminate(
+        [[v[t] for v in vectors] + [int(s == t) for s in range(rank)] for t in range(rank)], d)
+    sign = 1 if last > 0 else -1
+    return (tuple(basis), sign * last,
+            tuple(tuple(sign * x for x in row[d:]) for row in a[:len(basis)]))
 
 
 def lattice_tests(weights, rank):

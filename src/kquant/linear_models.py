@@ -19,14 +19,15 @@ Two independent routes compute the same invariant:
   counts; functionals for the group the weights generate decide most
   others.  The rest are enumerated with bounds from the separating
   vector, the last loop level in closed form (a simplicial cone needs
-  none).  Its per-model setup (Farkas vector, weight order, the integer
-  adjugate of the independent suffix that makes each search leaf one
-  divisibility and sign test, the packed normals, the group functionals)
-  is built on the first call for a model and kept on it; it reads only
-  the weights, the shift and the Farkas vector, and shares no cache with
-  the series route.  The same setup counts a whole window in one pass.
-  The separation result behind check_proper and farkas_vector is kept
-  on the model too, so it dies with the model.
+  none).  Its per-model setup (Farkas vector, a greedy basis of the
+  weights' span with the integer rows that make each search leaf one
+  divisibility and sign test, from one elimination; the packed normals;
+  the group functionals) is built on the first call for a model and
+  kept on it; it reads only the weights, the shift and the Farkas
+  vector, and shares no cache with the series route.  The same setup
+  counts a whole window in one pass.  The separation result behind
+  check_proper and farkas_vector is kept on the model too, so it dies
+  with the model.
 
 verify_qr counts the window in one pass and compares the two routes as
 sparse maps, {weight: nonzero series coefficient} against {weight:
@@ -43,7 +44,7 @@ strata grouped by their mu value.  The components are kept on the model
 for check_compatibility.
 
 Every determinant, square solve and nullspace here (separation, the
-counter's adjugate and walls, stratum vertices, stabilizers) is the
+counter's basis and walls, stratum vertices, stabilizers) is the
 integer fraction-free elimination of _exact; results become Fractions
 only as outputs (the min-norm winner, vertices, mu values).
 """
@@ -64,7 +65,7 @@ from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
                      WindowExhausted)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
                            normalize_polarization, polarized_index)
-from .root_data import (RootDatum, as_int, build_root_datum, dominant_window,
+from .root_data import (RootDatum, build_root_datum, dominant_window,
                         dot, neg, sub)
 
 
@@ -119,7 +120,7 @@ class LinearModel:
 
     @staticmethod
     def from_dict(d: dict) -> "LinearModel":
-        datum = build_root_datum("torus", as_int(d["rank"]))
+        datum = build_root_datum("torus", d["rank"])
         return LinearModel(datum, tuple(tuple(w) for w in d["weights"]),
                            tuple(d["shift"]))
 
@@ -256,9 +257,10 @@ class _LatticeCounter:
 
     Lattice.  A nonzero count needs gamma - c in the group the weights
     generate; `lattice` holds the functionals that decide it (see
-    _exact.lattice_tests).  With no leading weights and k == rank (see below)
-    the cone is simplicial and the cone and lattice tests are exact, so
-    a target passing both counts 1 with no Cramer rows.
+    _exact.lattice_tests).  When the weights are a basis of the whole
+    space (no looped weights, see below) the cone is simplicial and the
+    cone and lattice tests are exact, so a target passing both counts 1
+    with no Cramer rows.
 
     Window.  window(w) counts the whole box [-w, w]^rank in one pass and
     count(gamma) one point, through the same _counts: it packs for the
@@ -268,49 +270,35 @@ class _LatticeCounter:
     own.  It returns two columns: a regular flag per point and a dict of
     the nonzero counts only, so a zero count costs no object.
 
-    Counting.  The weights are sorted by decreasing Farkas pairing.  The
-    longest linearly independent suffix of that order has at most one
-    solution a for a remainder y, by Cramer's rule on a square row
-    choice with determinant det > 0: det * a = adj * y[rows], and the
-    rows left out must satisfy det * y[r] = sum_i (det * a_i) w_i[r].
-    Both are linear in y, so `leaf` stacks them into one integer matrix.
-    The search carries leaf * y and steps it by leaf * w_j for the
-    leading weights; a leaf needs the first k entries to be nonnegative
-    multiples of det and the rest zero.  These conditions are linear in
-    the last leading weight's coefficient a, so the valid a form an
+    Counting.  The weights are sorted by increasing Farkas pairing, and
+    one elimination (_exact.cramer_kit) takes from that end the greedy
+    basis of their span: each weight independent of the weights before
+    it.  A remainder y in the span (the lattice tests decide that before
+    any search) has exactly one coefficient vector a on the basis, with
+    det * a = leaf * y and det > 0, so a leaf of the search is one test:
+    every entry of leaf * y a nonnegative multiple of det.  The other
+    d - rank(span) weights are looped, largest pairing first; the search
+    carries leaf * y and steps it by leaf * w_j.  The test is linear in
+    the last looped weight's coefficient a, so the valid a form an
     interval met with one residue class mod `period` = det // gcd(det,
-    step[:k]), counted in closed form instead of looped.
+    step), counted in closed form instead of looped.
     """
 
-    __slots__ = ("weights", "shift", "xi", "det", "k", "leaf", "steps",
+    __slots__ = ("weights", "shift", "xi", "det", "leaf", "steps",
                  "period", "lattice", "reach", "packed", "const", "half",
                  "ones", "cone", "thick")
 
     def __init__(self, m: LinearModel):
-        rank = m.rank
         self.weights, self.shift = m.weights, m.shift
         self.xi = xi = farkas_vector(m)
-        ws = sorted(m.weights, key=lambda w: -dot(w, xi))
-        # the longest linearly independent suffix of the order
-        free = next(f for f in range(len(ws) + 1) if cramer_kit(ws[f:], rank))
-        rows, mat, det = cramer_kit(ws[free:], rank)
-        suffix = ws[free:]
-        sign = 1 if det > 0 else -1
-        self.det = det * sign
-        self.k = len(suffix)
-        # column t of adj(mat) is det * mat^{-1} e_t; leaf row i is row i of sign * adj
-        adj = [solve(mat, [int(s == t) for s in range(self.k)])[1] for t in range(self.k)]
-        leaf = [tuple(sign * adj[rows.index(c)][i] if c in rows else 0 for c in range(rank))
-                for i in range(self.k)]
-        leaf += [tuple(self.det * (c == r) - sum(n[c] * w[r] for n, w in zip(leaf, suffix))
-                       for c in range(rank))
-                 for r in range(rank) if r not in rows]
-        self.leaf = tuple(leaf)
-        self.steps = tuple((tuple(dot(row, w) for row in leaf), dot(w, xi))
-                           for w in ws[:free])
-        self.period = (self.det // math.gcd(self.det, *self.steps[-1][0][:self.k])
+        ws = sorted(m.weights, key=lambda w: dot(w, xi))
+        basis, self.det, self.leaf = cramer_kit(ws, m.rank)
+        looped = [w for i, w in enumerate(ws) if i not in basis][::-1]
+        self.steps = tuple((tuple(dot(row, w) for row in self.leaf), dot(w, xi))
+                           for w in looped)
+        self.period = (self.det // math.gcd(self.det, *self.steps[-1][0])
                        if self.steps else 1)
-        self.lattice = lattice_tests(m.weights, rank)
+        self.lattice = lattice_tests(m.weights, m.rank)
         self.reach = -1  # nothing packed yet
 
     def _pack(self, reach):
@@ -369,7 +357,7 @@ class _LatticeCounter:
 
     def _solve(self, target) -> int:
         """The count of a target inside the cone and the group of the weights."""
-        if not self.steps and self.k == len(target):
+        if not self.steps and len(self.leaf) == len(target):
             return 1  # simplicial: the cone and lattice tests were exact
         y = tuple(sum(map(mul, row, target)) for row in self.leaf)
         if self.steps:  # a budget < 0 leaves the search nothing to visit
@@ -390,14 +378,14 @@ class _LatticeCounter:
     def _last(self, y, hi, step):
         """#{a in [0, hi] : y - a * step passes the leaf test}, in closed form.
 
-        step belongs to the last leading weight, which lies in the span
-        of the suffix (or the suffix spans everything), so its residual
-        entries are zero: a is bounded by the head rows alone.
+        The target and every weight lie in the span of the basis (the
+        lattice tests put the target there), so the leaf rows alone decide:
+        each entry of y - a * step must be a nonnegative multiple of det.
+        Its sign bounds a from one side, and the divisibility holds on one
+        residue class mod period.
         """
-        k, lo = self.k, 0
-        if any(y[k:]):
-            return 0
-        head = tuple(zip(y[:k], step))
+        lo = 0
+        head = tuple(zip(y, step))
         for yr, sr in head:
             if sr > 0:
                 hi = min(hi, yr // sr)
@@ -420,10 +408,10 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
     and whether gamma - c lies outside the cone of the weights, a few
     functionals whether it lies outside the group they generate (count
     0); else a search bounded by the Farkas vector (a_j <= <gamma-c, xi>
-    / <w_j, xi>) loops the leading weights but the last, counts the last
-    in closed form and solves the independent suffix exactly.  The setup
-    is built on a model's first call and kept on it (_LatticeCounter,
-    shared with the window pass of verify_qr).
+    / <w_j, xi>) loops the weights outside a greedy basis of their span
+    but the last, counts the last in closed form and solves the basis
+    exactly.  The setup is built on a model's first call and kept on it
+    (_LatticeCounter, shared with the window pass of verify_qr).
     """
     return m._counter.count(m.datum.check_weight(gamma))
 

@@ -109,8 +109,9 @@ def build_root_datum(kind: str, rank: int) -> RootDatum:
     """Construct the torus or A-series datum of the given rank.
 
     kind is "torus" or "A" (case insensitive).  Any other series raises
-    UnsupportedKind.  rank must be at least 1.
+    UnsupportedKind.  rank must be an integer (as_int) of at least 1.
     """
+    rank = as_int(rank)
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     k = str(kind).strip().lower()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +211,49 @@ def test_non_integer_weights_are_input_errors(files, capsys, point, tangent, fib
     status, out = run(capsys, "index", files("c.json", doc))
     assert status == 1
     assert set(json.loads(out)) == {"error", "detail"}
+
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+# the verbs each demo input feeds; every model verb runs on both models
+DEMO_VERBS = {
+    "o2_sphere.json": [["index"], ["index", "--window", "8"]],
+    "glue_o2.json": [["moves"]],
+    "model_pair.json": [["quantize"], ["reduce", "--gamma", "3"], ["verify-qr"], ["vanishing"]],
+    "model_plane.json": [["quantize"], ["reduce", "--gamma", "1,2"], ["verify-qr"],
+                         ["vanishing"]],
+}
+
+
+def int_leaf_paths(doc, path=()):
+    """The key paths of every integer leaf of a JSON document (bools are not ints)."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from int_leaf_paths(value, path + (key,))
+    elif type(doc) is int:
+        yield path
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 1.0])
+@pytest.mark.parametrize("name", sorted(DEMO_VERBS))
+def test_every_integer_leaf_of_the_demo_inputs_rejects_non_integers(tmp_path, capsys, name, bad):
+    doc = json.loads((DEMO_DATA / name).read_text(encoding="utf-8"))
+    for verb, *flags in DEMO_VERBS[name]:
+        assert run(capsys, verb, str(DEMO_DATA / name), *flags)[0] == 0
+    paths = list(int_leaf_paths(doc))
+    assert paths
+    for path in paths:
+        broken = json.loads(json.dumps(doc))
+        *parents, last = path
+        node = broken
+        for key in parents:
+            node = node[key]
+        node[last] = bad
+        target = tmp_path / name
+        target.write_text(json.dumps(broken), encoding="utf-8")
+        for verb, *flags in DEMO_VERBS[name]:
+            status, out = run(capsys, verb, str(target), *flags)
+            assert status == 1, (path, verb, out)
+            assert set(json.loads(out)) == {"error", "detail"}, (path, verb, out)
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):

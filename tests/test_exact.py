@@ -1,8 +1,9 @@
 """The integer linear-algebra core against independent references.
 
-det is checked against the Leibniz formula, solve and nullspace against
-Gauss-Jordan elimination over Fraction (helpers.fraction_rref).  Entries
-reach 10**20, so a Bareiss division that was not exact would show.
+solve is checked against the Leibniz formula and, with nullspace and
+cramer_kit, against Gauss-Jordan elimination over Fraction
+(helpers.fraction_rref).  Entries reach 10**20, so a Bareiss division
+that was not exact would show.
 """
 
 import itertools
@@ -12,8 +13,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kquant._exact import cramer_kit, det, nullspace, primitive, solve
-from helpers import fraction_nullspace, fraction_solve
+from kquant._exact import cramer_kit, nullspace, primitive, solve
+from helpers import fraction_nullspace, fraction_rref, fraction_solve
 
 BIG = 10 ** 20
 ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
@@ -60,8 +61,7 @@ def rectangles(draw):
 
 
 def test_edge_cases():
-    assert det([]) == 1 and solve([], []) == (1, ())
-    assert det([[7]]) == 7 and det([[0]]) == 0
+    assert solve([], []) == (1, ()) and solve([[7]], [0]) == (7, (0,))
     assert solve([[-3]], [6]) == (-3, (6,))
     assert solve([[0]], [1]) == (0, None)
     assert nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -70,12 +70,9 @@ def test_edge_cases():
     assert nullspace([[2, -4]], 2) == [(2, 1)]
     assert nullspace([[1, 2, 3]], 0) == []
     assert primitive((-4, 6, 0)) == (-2, 3, 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(square())
-def test_det_matches_leibniz(mat):
-    assert det(mat) == leibniz_det(mat)
+    assert cramer_kit([], 2) == ((), 1, ())
+    assert cramer_kit([(-3,), (2,)], 1) == ((0,), 3, ((-1,),))
+    assert cramer_kit([(1, 1), (2, 2), (0, 1)], 2) == ((0, 2), 1, ((1, 0), (-1, 1)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,19 +99,20 @@ def test_nullspace_matches_fraction_elimination(mat):
         assert all(sum(map(int.__mul__, row, v)) == 0 for row in mat)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 5).flatmap(lambda rank: st.tuples(
-    st.integers(0, 4).flatmap(lambda k: matrices(k, rank)), st.just(rank))))
-def test_cramer_kit_takes_the_first_invertible_row_choice(case):
-    cols, rank = case  # k columns of length rank, k > rank included
-    first = next((rows for rows in itertools.combinations(range(rank), len(cols))
-                  if leibniz_det([[c[t] for c in cols] for t in rows])), None)
-    kit = cramer_kit(cols, rank)
-    if first is None:
-        assert kit is None
-    else:
-        mat = [[c[t] for c in cols] for t in first]
-        assert kit == (first, mat, leibniz_det(mat))
+    st.integers(0, 6).flatmap(lambda d: matrices(d, rank)), st.just(rank))))
+def test_cramer_kit_solves_a_greedy_basis(case):
+    vectors, rank = case  # d vectors of length rank, d > rank and dependent ones included
+    basis, det, left = cramer_kit(vectors, rank)
+    # the pivot columns of W, vectors as columns, are the greedy independent set
+    _, pivots = fraction_rref([[v[t] for v in vectors] for t in range(rank)], len(vectors))
+    assert basis == tuple(pivots)
+    assert det > 0
+    assert len(left) == len(basis) and all(len(row) == rank for row in left)
+    for i, row in enumerate(left):
+        assert [sum(map(int.__mul__, row, vectors[b])) for b in basis] == \
+            [det * (i == j) for j in range(len(basis))]
 
 
 @settings(max_examples=100, deadline=None)

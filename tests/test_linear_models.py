@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import kquant as kq
-from helpers import T1, fraction_solve, glued_components, random_proper_model
+from helpers import (T1, fraction_nullspace, fraction_solve, glued_components,
+                     random_proper_model)
 
 WP = kq.WeightPolynomial
 
@@ -171,17 +173,44 @@ def _naive_reduction(m, window):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _span_tests(weights, rank):
+    """One Fraction nullspace basis per subset of < rank weights."""
+    return tuple(fraction_nullspace(sub, rank)
+                 for size in range(rank) for sub in itertools.combinations(weights, size))
+
+
 def _on_wall(m, target):
-    """Exact span membership: target lies in the span of < rank weights."""
-    return any(_exact_rank(list(sub) + [target]) == _exact_rank(list(sub))
-               for size in range(m.rank)
-               for sub in itertools.combinations(m.weights, size))
+    """Exact span membership: target lies in the span of < rank weights,
+    i.e. pairs to zero with the nullspace of one such subset."""
+    return any(all(sum(map(mul, n, target)) == 0 for n in basis)
+               for basis in _span_tests(m.weights, m.rank))
 
 
 def _qr_counts(m, window):
     """{gamma: (q_red, regular)} of verify_qr on a copy of m with its own counter."""
     rows = kq.verify_qr(kq.LinearModel.from_dict(m.to_dict()), window).rows
     return {r.gamma: (r.q_red, r.regular) for r in rows}
+
+
+# Repeated, parallel or dependent weights at the small-pairing end of the
+# Farkas order, ranks 2-4, one with a span of rank 3 in rank 4: the count
+# loops only the d - rank(span) weights outside a greedy basis of the span.
+_DEPENDENT_TAIL = [
+    ([(3, 1), (2, -1), (1, 0), (2, 0)], (0, 0)),
+    ([(1, 2), (1, 0), (1, 0), (1, -1)], (-1, 1)),
+    ([(2, 1, 0), (0, 1, 1), (1, 0, 1), (1, 0, 1)], (-1, 0, 1)),
+    ([(0, 1, 0), (0, 0, 1), (1, 0, 0), (1, 0, 0), (1, 1, 1)], (0, -1, 1)),
+    ([(1, 1, 1), (1, 0, 1), (2, 0, 2), (0, 1, 0)], (0, 1, -1)),
+    ([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0)], (0, 1, -1, 0)),
+    ([(1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1)], (1, 0, 0, -1)),
+    ([(2, 1, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)], (0, -1, 0, 1)),
+]
+
+
+def _loops_outside_the_span_basis(m):
+    """The counter loops one level per weight outside a basis of their span."""
+    return len(m._counter.steps) == len(m.weights) - _exact_rank(m.weights)
 
 
 def test_reduction_matches_naive_enumeration():
@@ -199,7 +228,9 @@ def test_reduction_matches_naive_enumeration():
                         break
                 assert len(m._counter.steps) >= 2, m.to_dict()
                 corpus.append((m, 4))
+    corpus += [(kq.linear_model(w, c), 2) for w, c in _DEPENDENT_TAIL]
     for m, window in corpus:
+        assert _loops_outside_the_span_basis(m), m.to_dict()
         expected = _naive_reduction(m, window)
         got = {g: tuple(kq.reduction_multiplicity(m, g)) for g in expected}
         assert got == expected, m.to_dict()
@@ -237,6 +268,7 @@ _DEGENERATE = [
 def test_regular_flag_on_degenerate_models():
     for weights, shift in _DEGENERATE:
         m = kq.linear_model(weights, shift)
+        assert _loops_outside_the_span_basis(m), m.to_dict()
         expected = _naive_reduction(m, 3)
         got = {g: tuple(kq.reduction_multiplicity(m, g)) for g in expected}
         assert got == expected, m.to_dict()
@@ -640,6 +672,17 @@ def test_verify_qr_thin_cone():
     rep = kq.verify_qr(m, 6)
     assert rep.verdict
     assert sum(r.q_top for r in rep.rows) == 6602
+
+
+def test_verify_qr_rank_four_with_repeated_weights():
+    # five weights share the smallest Farkas pairing, two of them equal;
+    # the count loops 7 - 4 weights
+    m = kq.linear_model([(0, -1, 1, 2), (0, -2, -1, 0), (-2, -2, -1, -1), (-2, -2, -1, -1),
+                         (0, 1, -2, 1), (0, 1, -2, 0), (1, -1, 1, -1)], (-1, 2, -1, -1))
+    assert len(m._counter.steps) == 3
+    rep = kq.verify_qr(m, 6)
+    assert rep.verdict is True
+    assert len(rep.counts) == 4030
 
 
 def test_report_serialization():

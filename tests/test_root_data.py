@@ -26,6 +26,13 @@ def test_build_rejects_bad_input():
         kq.build_root_datum("B", 2)
     with pytest.raises(ValueError):
         kq.build_root_datum("A", 0)
+    # bools and non-integers are rejected, never read as a rank
+    for rank in (True, False, 2.5, 1.0, Fraction(2), "2"):
+        for kind in ("torus", "A"):
+            with pytest.raises(TypeError):
+                kq.build_root_datum(kind, rank)
+        with pytest.raises(TypeError):
+            kq.RootDatum.from_dict({"kind": "torus", "rank": rank})
 
 
 def test_kind_case_insensitive():
