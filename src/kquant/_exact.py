@@ -8,6 +8,7 @@ solve (a square system with its determinant), nullspace and cramer_kit
 (a greedy basis of a span with the rows that solve for it) are one such
 elimination each.  lattice_tests alone eliminates differently: by
 unimodular row and column operations, for the group vectors generate.
+residue_kit is gcd arithmetic for the last loop level of the counting route.
 """
 
 from __future__ import annotations
@@ -91,6 +92,20 @@ def cramer_kit(vectors, rank):
     sign = 1 if last > 0 else -1
     return (tuple(basis), sign * last,
             tuple(tuple(sign * x for x in row[d:]) for row in a[:len(basis)]))
+
+
+def residue_kit(step, det):
+    """(g, period, u) with g = gcd(det, *step), period = det // g, sum(u * step) = g (mod det).
+
+    If some a has a * step = y (mod det) in every entry, those a are exactly
+    the class of sum(u * y) // g mod period.
+    """
+    g, u = det, ()
+    for s in step:
+        h = math.gcd(g, s)
+        y = pow(s // h, -1, g // h)  # y * s = h (mod g)
+        g, u = h, tuple(v * ((h - y * s) // g) % det for v in u) + (y,)
+    return g, det // g, u
 
 
 def lattice_tests(weights, rank):

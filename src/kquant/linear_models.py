@@ -17,17 +17,17 @@ Two independent routes compute the same invariant:
   with the packed normals of the maximal walls decides regularity and,
   through the normals that support the cone of the weights, most zero
   counts; functionals for the group the weights generate decide most
-  others.  The rest are enumerated with bounds from the separating
-  vector, the last loop level in closed form (a simplicial cone needs
-  none).  Its per-model setup (Farkas vector, a greedy basis of the
-  weights' span with the integer rows that make each search leaf one
-  divisibility and sign test, from one elimination; the packed normals;
-  the group functionals) is built on the first call for a model and
-  kept on it; it reads only the weights, the shift and the Farkas
-  vector, and shares no cache with the series route.  The same setup
-  counts a whole window in one pass.  The separation result behind
-  check_proper and farkas_vector is kept on the model too, so it dies
-  with the model.
+  others.  The rest are counted together as columns, in one list pass
+  per loop level and coefficient and the last level in closed form (a
+  simplicial cone needs none).  Its per-model setup (Farkas vector, a
+  greedy basis of the weights' span with the integer rows that make each
+  search leaf one divisibility and sign test, from one elimination; the
+  packed normals; the group functionals) is built on the first call for
+  a model and kept on it; it reads only the weights, the shift and the
+  Farkas vector, and shares no cache with the series route.  The same
+  setup counts a whole window in one pass.  The separation result
+  behind check_proper and farkas_vector is kept on the model too, so it
+  dies with the model.
 
 verify_qr counts the window in one pass and compares the two routes as
 sparse maps, {weight: nonzero series coefficient} against {weight:
@@ -51,15 +51,15 @@ only as outputs (the min-norm winner, vertices, mu values).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub as minus
+from operator import add, mul, neg as negative
 from typing import NamedTuple
 
-from ._exact import cramer_kit, lattice_tests, nullspace, solve
+from ._exact import cramer_kit, lattice_tests, nullspace, residue_kit, solve
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
                      WindowExhausted)
@@ -265,10 +265,10 @@ class _LatticeCounter:
     Window.  window(w) counts the whole box [-w, w]^rank in one pass and
     count(gamma) one point, through the same _counts: it packs for the
     reach, builds the packed, thick-wall and lattice pairings of every
-    point by incremental sums along the axes (_box_sums), and solves only
-    the targets inside the cone that pass the lattice test, each on its
-    own.  It returns two columns: a regular flag per point and a dict of
-    the nonzero counts only, so a zero count costs no object.
+    point by incremental sums along the axes (_box_sums), and counts only
+    the targets inside the cone that pass the lattice test (_tally).  It
+    returns two columns: a regular flag per point and a dict of the
+    nonzero counts only, so a zero count costs no object.
 
     Counting.  The weights are sorted by increasing Farkas pairing, and
     one elimination (_exact.cramer_kit) takes from that end the greedy
@@ -277,15 +277,17 @@ class _LatticeCounter:
     any search) has exactly one coefficient vector a on the basis, with
     det * a = leaf * y and det > 0, so a leaf of the search is one test:
     every entry of leaf * y a nonnegative multiple of det.  The other
-    d - rank(span) weights are looped, largest pairing first; the search
-    carries leaf * y and steps it by leaf * w_j.  The test is linear in
-    the last looped weight's coefficient a, so the valid a form an
-    interval met with one residue class mod `period` = det // gcd(det,
-    step), counted in closed form instead of looped.
+    d - rank(span) weights are looped, largest pairing first, within the
+    Farkas budget <y, xi>.  All targets of a pass go through the levels
+    together, as one list per leaf row and one of budgets (_level), and
+    no value computed for one target is used for another.  The test is
+    linear in the last looped weight's coefficient a, so the valid a form
+    an interval met with one residue class mod det // gcd(det, step),
+    read off `kit` (_exact.residue_kit) and counted in closed form.
     """
 
     __slots__ = ("weights", "shift", "xi", "det", "leaf", "steps",
-                 "period", "lattice", "reach", "packed", "const", "half",
+                 "kit", "lattice", "reach", "packed", "const", "half",
                  "ones", "cone", "thick")
 
     def __init__(self, m: LinearModel):
@@ -296,8 +298,7 @@ class _LatticeCounter:
         looped = [w for i, w in enumerate(ws) if i not in basis][::-1]
         self.steps = tuple((tuple(dot(row, w) for row in self.leaf), dot(w, xi))
                            for w in looped)
-        self.period = (self.det // math.gcd(self.det, *self.steps[-1][0])
-                       if self.steps else 1)
+        self.kit = residue_kit(self.steps[-1][0] if self.steps else (), self.det)
         self.lattice = lattice_tests(m.weights, m.rank)
         self.reach = -1  # nothing packed yet
 
@@ -347,56 +348,67 @@ class _LatticeCounter:
                        zip(regular, *(_box_sums(n, -c, axes) for n, c in wall))]
         inside = [d & cone == cone for d in ds]
         for n, m in self.lattice:
-            vs = _box_sums(n, -dot(n, c0), axes)
-            inside = [a and not (v % m if m else v) for a, v in zip(inside, vs)]
-        counts = {}
-        for gamma in itertools.compress(itertools.product(*axes), inside):
-            if n := self._solve(tuple(map(minus, gamma, c0))):
-                counts[gamma] = n
-        return regular, counts
+            inside = [a and not (v % m if m else v)
+                      for a, v in zip(inside, _box_sums(n, -dot(n, c0), axes))]
+        gammas = list(itertools.compress(itertools.product(*axes), inside))
+        del ds, inside  # box-sized, freed so they add nothing to the count's peak memory
+        return regular, {g: n for g, n in zip(gammas, self._tally(gammas)) if n}
 
-    def _solve(self, target) -> int:
-        """The count of a target inside the cone and the group of the weights."""
-        if not self.steps and len(self.leaf) == len(target):
-            return 1  # simplicial: the cone and lattice tests were exact
-        y = tuple(sum(map(mul, row, target)) for row in self.leaf)
-        if self.steps:  # a budget < 0 leaves the search nothing to visit
-            return self._search(0, y, sum(map(mul, target, self.xi)))
-        return self._last(y, 0, (0,) * len(y))  # the leaf test is the count: a = 0 on a zero step
+    def _tally(self, gammas) -> list:
+        """The count of each target gamma - c inside the cone and the group of the weights."""
+        n, c0 = len(gammas), self.shift
+        if not self.steps and len(self.leaf) == len(c0):
+            return [1] * n  # simplicial: the cone and lattice tests were exact
+        bs, *ys = ([sum(map(mul, row, g)) - y0 for g in gammas]
+                   for row, y0 in ((row, dot(row, c0)) for row in (self.xi, *self.leaf)))
+        order = range(n)
+        if len(self.steps) > 1:  # see _level
+            order = sorted(order, key=bs.__getitem__, reverse=True)
+            bs, ys = [bs[i] for i in order], [[col[i] for i in order] for col in ys]
+        counts = (self._level(0, ys, bs) if self.steps else
+                  self._last(ys, [0] * n, (0,) * len(ys)))  # the leaf test at a = 0 is the count
+        out = [0] * n
+        for i, c in zip(order, counts):
+            out[i] = c
+        return out
 
-    def _search(self, j, y, b):
+    def _level(self, j, ys, bs):
+        """Counts from loop level j on; bs decreases, so the budgets still >= 0 are a prefix."""
         step, pw = self.steps[j]
         if j + 1 == len(self.steps):
-            return self._last(y, b // pw, step)
-        total = 0
-        for _ in range(b // pw + 1):
-            total += self._search(j + 1, y, b)
-            y = tuple(map(minus, y, step))
-            b -= pw
+            return self._last(ys, [b // pw for b in bs], step)
+        total = [0] * len(bs)
+        while k := bisect.bisect_right(bs, 0, key=negative):
+            ys, bs = [col[:k] for col in ys], bs[:k]
+            total[:k] = map(add, total, self._level(j + 1, ys, bs))
+            ys, bs = [[y - s for y in col] for col, s in zip(ys, step)], [b - pw for b in bs]
         return total
 
-    def _last(self, y, hi, step):
-        """#{a in [0, hi] : y - a * step passes the leaf test}, in closed form.
+    def _last(self, ys, his, step):
+        """#{a in [0, hi] : y - a * step passes the leaf test}, per column, in closed form.
 
-        The target and every weight lie in the span of the basis (the
-        lattice tests put the target there), so the leaf rows alone decide:
-        each entry of y - a * step must be a nonnegative multiple of det.
-        Its sign bounds a from one side, and the divisibility holds on one
-        residue class mod period.
+        The leaf rows alone decide (the lattice tests put the target in the
+        span): each entry of y - a * step must be a nonnegative multiple of
+        det.  The signs bound a to [lo, hi], and the multiples hold, if at
+        all, on the class of sum(u * y) // g mod period, checked at its first
+        a >= lo (_exact.residue_kit).
         """
-        lo = 0
-        head = tuple(zip(y, step))
-        for yr, sr in head:
-            if sr > 0:
-                hi = min(hi, yr // sr)
-            elif sr < 0:
-                lo = max(lo, -(yr // -sr))
-            elif yr < 0:
-                return 0
-        for a in range(lo, min(hi, lo + self.period - 1) + 1):
-            if not any((yr - a * sr) % self.det for yr, sr in head):
-                return (hi - a) // self.period + 1
-        return 0
+        det, (g, period, u) = self.det, self.kit
+        los = [0] * len(his)
+        for col, s in zip(ys, step):
+            if s > 0:
+                his = [q if (q := y // s) < h else h for h, y in zip(his, col)]
+            elif s < 0:
+                los = [q if (q := -(y // -s)) > lo else lo for lo, y in zip(los, col)]
+        cs = [0] * len(his)
+        for col, x in zip(ys, u):
+            if x:
+                cs = [c + x * y for c, y in zip(cs, col)]
+        firsts = [lo + (c // g - lo) % period for lo, c in zip(los, cs)]
+        ok = [a <= h for a, h in zip(firsts, his)]
+        for col, s in zip(ys, step):
+            ok = [k and (r := y - a * s) >= 0 and not r % det for k, y, a in zip(ok, col, firsts)]
+        return [(h - a) // period + 1 if k else 0 for k, h, a in zip(ok, his, firsts)]
 
 
 def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
@@ -407,11 +419,13 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
     (tested on the maximal walls).  One packed pairing decides regularity
     and whether gamma - c lies outside the cone of the weights, a few
     functionals whether it lies outside the group they generate (count
-    0); else a search bounded by the Farkas vector (a_j <= <gamma-c, xi>
-    / <w_j, xi>) loops the weights outside a greedy basis of their span
-    but the last, counts the last in closed form and solves the basis
-    exactly.  The setup is built on a model's first call and kept on it
-    (_LatticeCounter, shared with the window pass of verify_qr).
+    0); else the count loops the weights outside a greedy basis of their
+    span but the last, bounded by the Farkas vector (a_j <= <gamma-c, xi>
+    / <w_j, xi>), takes the last one's coefficient from one residue class
+    in closed form and solves the basis exactly.  The setup and the count
+    are those of the window pass of verify_qr, which counts all targets
+    of a window at once (_LatticeCounter, built on a model's first call
+    and kept on it).
     """
     return m._counter.count(m.datum.check_weight(gamma))
 

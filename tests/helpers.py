@@ -359,3 +359,50 @@ def glued_components(m):
             mu_value=mus.pop(), compact=True, mu_diameter=Fraction(0)))
     out.sort(key=lambda comp: (len(comp.support), comp.support))
     return out
+
+
+def recursive_count(m, gamma):
+    """Reference lattice count of one gamma by a depth-first search per target.
+
+    Uses the model counter's setup (Farkas vector xi, Cramer rows `leaf`
+    with det, loop steps, lattice functionals) but none of its counting:
+    a target outside the group of the weights counts 0; otherwise each
+    looped weight's coefficient runs over its Farkas budget, and the last
+    level bounds its coefficient a by the signs of y - a * step and scans
+    up to `period` candidates for the first a whose entries det divides.
+    """
+    ctr = m._counter
+    dot = lambda u, v: sum(map(operator.mul, u, v))
+    target = tuple(g - c for g, c in zip(gamma, m.shift))
+    if any(dot(n, target) % mod if mod else dot(n, target) for n, mod in ctr.lattice):
+        return 0
+    det, steps = ctr.det, ctr.steps
+    period = det // math.gcd(det, *steps[-1][0]) if steps else 1
+
+    def last(y, hi, step):
+        lo = 0
+        for yr, sr in zip(y, step):
+            if sr > 0:
+                hi = min(hi, yr // sr)
+            elif sr < 0:
+                lo = max(lo, -(yr // -sr))
+            elif yr < 0:
+                return 0
+        for a in range(lo, min(hi, lo + period - 1) + 1):
+            if not any((yr - a * sr) % det for yr, sr in zip(y, step)):
+                return (hi - a) // period + 1
+        return 0
+
+    def search(j, y, b):
+        step, pw = steps[j]
+        if j + 1 == len(steps):
+            return last(y, b // pw, step)
+        total = 0
+        for _ in range(b // pw + 1):
+            total += search(j + 1, y, b)
+            y = tuple(map(operator.sub, y, step))
+            b -= pw
+        return total
+
+    y = tuple(dot(row, target) for row in ctr.leaf)
+    return search(0, y, dot(target, ctr.xi)) if steps else last(y, 0, (0,) * len(y))

@@ -256,6 +256,49 @@ def test_every_integer_leaf_of_the_demo_inputs_rejects_non_integers(tmp_path, ca
             assert set(json.loads(out)) == {"error", "detail"}, (path, verb, out)
 
 
+_DELETED = object()
+# what replaces one node of a demo input: the node deleted, or a value of
+# the wrong shape (null, a string, empty containers, a nested list) or an
+# integer out of its range
+_MALFORMED = [_DELETED, None, "x", [], {}, [[1]], -1, 0]
+
+
+def node_paths(doc, path=()):
+    """The key paths of every node of a JSON document below the root."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield path + (key,)
+            yield from node_paths(value, path + (key,))
+
+
+def test_malformed_shapes_of_the_demo_inputs_exit_cleanly(tmp_path, capsys):
+    docs = {name: json.loads((DEMO_DATA / name).read_text(encoding="utf-8"))
+            for name in sorted(DEMO_VERBS)}
+    cases = [(name, path, bad) for name, doc in docs.items()
+             for path in node_paths(doc) for bad in _MALFORMED]
+    exits = set()
+    for name, path, bad in cases:
+        broken = json.loads(json.dumps(docs[name]))
+        *parents, last = path
+        node = broken
+        for key in parents:
+            node = node[key]
+        if bad is _DELETED:
+            del node[last]
+        else:
+            node[last] = bad
+        target = tmp_path / name
+        target.write_text(json.dumps(broken), encoding="utf-8")
+        for verb, *flags in DEMO_VERBS[name]:
+            status, out = run(capsys, verb, str(target), *flags)
+            exits.add(status)
+            # exit 0 with a result, or exit 1 with exactly the error object
+            assert status in (0, 1), (name, path, bad, verb, out)
+            if status == 1:
+                assert set(json.loads(out)) == {"error", "detail"}, (name, path, bad, verb, out)
+    assert exits == {0, 1}
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json", encoding="utf-8")

@@ -3,7 +3,8 @@
 solve is checked against the Leibniz formula and, with nullspace and
 cramer_kit, against Gauss-Jordan elimination over Fraction
 (helpers.fraction_rref).  Entries reach 10**20, so a Bareiss division
-that was not exact would show.
+that was not exact would show.  residue_kit is checked against a brute
+force over two periods of its modulus.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kquant._exact import cramer_kit, nullspace, primitive, solve
+from kquant._exact import cramer_kit, nullspace, primitive, residue_kit, solve
 from helpers import fraction_nullspace, fraction_rref, fraction_solve
 
 BIG = 10 ** 20
@@ -73,6 +74,8 @@ def test_edge_cases():
     assert cramer_kit([], 2) == ((), 1, ())
     assert cramer_kit([(-3,), (2,)], 1) == ((0,), 3, ((-1,),))
     assert cramer_kit([(1, 1), (2, 2), (0, 1)], 2) == ((0, 2), 1, ((1, 0), (-1, 1)))
+    assert residue_kit((), 5) == (5, 1, ()) and residue_kit((0, 0), 4) == (4, 1, (0, 0))
+    assert residue_kit((3,), 1) == (1, 1, (0,)) and residue_kit((-2, 3), 6) == (1, 6, (4, 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,3 +124,23 @@ def test_primitive_divides_out_the_content(v, k):
     p = primitive([k * x for x in v])
     assert math.gcd(*p) == 1
     assert [x * math.gcd(*v) for x in p] == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.lists(ENTRIES | st.just(0), max_size=4), st.booleans(), st.data())
+def test_residue_kit_predicts_the_solving_class(det, step, solvable, data):
+    g, period, u = residue_kit(step, det)
+    assert g == math.gcd(det, *step) and period == det // g and len(u) == len(step)
+    assert (sum(map(int.__mul__, u, step)) - g) % det == 0
+    if solvable:  # some a0 solves every entry
+        a0 = data.draw(st.integers(-BIG, BIG))
+        y = [a0 * s + det * data.draw(ENTRIES) for s in step]
+    else:
+        y = [data.draw(ENTRIES) for _ in step]
+    solves = lambda a: all((a * s - x) % det == 0 for s, x in zip(step, y))
+    # the predicted class, or no class when its first member fails
+    first = sum(map(int.__mul__, u, y)) // g % period
+    predicted = [a for a in range(2 * det) if (a - first) % period == 0] if solves(first) else []
+    assert [a for a in range(2 * det) if solves(a)] == predicted
+    if solvable:
+        assert predicted

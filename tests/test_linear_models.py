@@ -15,7 +15,7 @@ import pytest
 
 import kquant as kq
 from helpers import (T1, fraction_nullspace, fraction_solve, glued_components,
-                     random_proper_model)
+                     random_proper_model, recursive_count)
 
 WP = kq.WeightPolynomial
 
@@ -413,8 +413,10 @@ def _outside_cone(m, target):
     return False
 
 
-def _no_search(*args):
-    raise AssertionError("a target outside the cone reached the search")
+def _no_count(self, gammas):
+    if gammas:
+        raise AssertionError("a target outside the cone reached the count")
+    return []
 
 
 def test_reduction_exact_for_huge_targets(monkeypatch):
@@ -439,9 +441,8 @@ def test_reduction_exact_for_huge_targets(monkeypatch):
         seen = 0
         with monkeypatch.context() as patch:
             if m.weights and _exact_rank(m.weights) == m.rank:
-                # the supporting normals include every facet: no search
-                patch.setattr(lm._LatticeCounter, "_search", _no_search)
-                patch.setattr(lm._LatticeCounter, "_last", _no_search)
+                # the supporting normals include every facet: no count
+                patch.setattr(lm._LatticeCounter, "_tally", _no_count)
             for gamma in itertools.product(big + (0, 1), repeat=m.rank):
                 target = [g - c for g, c in zip(gamma, m.shift)]
                 if not _outside_cone(m, target):
@@ -475,6 +476,38 @@ def test_reduction_exact_for_huge_targets(monkeypatch):
             else:
                 expected = 0
             assert kq.reduction_multiplicity(m, (g,)) == (expected, t != 0), (ws, g)
+
+
+def test_window_counts_match_the_recursive_search():
+    rng = random.Random(67)
+    # every rank 1-4 at every window 0-7, then the hand-drawn corpora
+    corpus = [(random_proper_model(rng, max_d=6, max_r=4, entry=3, r=1 + i % 4), i // 4)
+              for i in range(32)]
+    corpus += [(random_proper_model(rng, max_d=7, max_r=2, entry=3, d=7), 5) for _ in range(4)]
+    corpus += [(kq.linear_model(w, c), 3) for w, c in _DEPENDENT_TAIL + _DEGENERATE]
+    seen = set()
+    for m, window in corpus:
+        levels, period = len(m._counter.steps), m._counter.kit[1]
+        seen.add((min(levels, 3), period > 1))
+        box = list(kq.dominant_window(m.datum, window))
+        expected = {g: n for g in box if (n := recursive_count(m, g))}
+        # a fresh counter: the window pass packs first
+        _, counts = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
+        assert counts == expected, (m.to_dict(), window)
+        for g in rng.sample(box, min(len(box), 25)):
+            assert kq.reduction_multiplicity(m, g).count == expected.get(g, 0), (m.to_dict(), g)
+    assert {(3, True), (2, True), (1, True), (0, False)} <= seen
+    # huge targets of rank-1 models with one or two loop levels: the outer
+    # weights are huge too, so the reference's outer loop stays short
+    big = (10**30, -10**30, 2**63 - 1, 2**63 + 1, -(2**63 + 1), 10**20 + 3)
+    for ws, c in (((3, 5), 1), ((6, 4), 0), ((4, 10**18, 6 * 10**17 + 2), 3),
+                  ((3, 10**19 + 1, 10**19), -1)):
+        m = kq.linear_model([(w,) for w in ws], (c,))
+        assert len(m._counter.steps) == len(ws) - 1 and m._counter.kit[1] > 1
+        for g in big + (0, 1, 2, 7):
+            if len(ws) == 3 and g - c > 10**22:
+                continue  # the reference would loop 10**12 times
+            assert kq.reduction_multiplicity(m, (g,)).count == recursive_count(m, (g,)), (ws, g)
 
 
 def test_separation_lives_on_the_model(monkeypatch):
@@ -662,6 +695,17 @@ def test_verify_qr_random_corpus():
         m = random_proper_model(rng, max_d=4, max_r=2)
         rep = kq.verify_qr(m, 5)
         assert rep.verdict, m.to_dict()
+
+
+def test_verify_qr_random_rank_four():
+    rng = random.Random(71)
+    nonzero = 0
+    for i in range(24):
+        m = random_proper_model(rng, entry=2, r=4, d=4 + i % 4)
+        rep = kq.verify_qr(m, 1 + i % 3)
+        assert rep.verdict is True, (m.to_dict(), rep.window)
+        nonzero += len(rep.counts)
+    assert nonzero > 100  # the corpus is not mostly empty windows
 
 
 def test_verify_qr_thin_cone():
