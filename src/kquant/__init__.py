@@ -17,15 +17,15 @@ from .errors import (CertificateFailed, DatumMismatch,
                      OrbifoldAveragingUnsupported, SecondFactorInfinite,
                      SingularOrbitUnsupported, UnsupportedKind,
                      UnsupportedSplit, WindowExhausted)
-from .linear_models import (LinearModel, QRReport, QRRow, ReductionCount,
+from .linear_models import (LinearModel, QRReport, ReductionCount,
                             VanishingComponent, check_compatibility,
                             check_proper, farkas_vector, formal_quantization,
                             linear_model, model_cycle, reduction_multiplicity,
                             vanishing_decomposition, verify_qr)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
                            auto_polarization, character_window, closed_index,
-                           closed_sum, cycle_negate, normalize_polarization,
-                           point, polarized_index)
+                           closed_sum, normalize_polarization, point,
+                           polarized_index)
 from .moves import (RewriteCertificate, bundle_modification, certify,
                     certify_disjoint_union, certify_disk_decomposition,
                     certify_glue_split, certify_product, compare_cycles,

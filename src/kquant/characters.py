@@ -323,15 +323,14 @@ class FormalCharacter:
     """Window truncation of an element of the character completion.
 
     Multiplicities of irreducibles are exact for every dominant weight
-    of sup-norm <= window and unspecified outside.  An optional support
-    certificate (xi, bound) promises that every nonzero multiplicity
-    gamma anywhere satisfies <gamma, xi> >= bound.
+    of sup-norm <= window and unspecified outside.  Construction checks
+    every key and multiplicity; results the engine builds from keys it
+    has already cut to the window skip those checks (_trusted).
     """
 
     datum: RootDatum
     window: int
     coeffs: dict = field(default_factory=dict)
-    support_certificate: tuple = None
 
     def __post_init__(self):
         self.window = as_int(self.window)
@@ -350,6 +349,14 @@ class FormalCharacter:
                 clean[w] = m
         self.coeffs = clean
 
+    @staticmethod
+    def _trusted(datum: RootDatum, window: int, coeffs: dict) -> "FormalCharacter":
+        """A result whose coeffs hold only nonzero multiplicities at checked
+        keys inside the window; only the window itself is checked."""
+        f = FormalCharacter(datum, window)
+        f.coeffs = coeffs
+        return f
+
     def mult(self, w) -> int:
         w = self.datum.check_weight(w)
         if sup_norm(w) > self.window:
@@ -363,7 +370,7 @@ class FormalCharacter:
         if window > self.window:
             raise WindowExhausted(f"cannot grow window {self.window} to {window}")
         kept = {w: m for w, m in self.coeffs.items() if sup_norm(w) <= window}
-        return FormalCharacter(self.datum, window, kept, self.support_certificate)
+        return FormalCharacter._trusted(self.datum, window, kept)
 
     def agrees_with(self, other: "FormalCharacter") -> bool:
         """Equality of multiplicities over the shared window, key by stored key."""
@@ -382,12 +389,11 @@ class FormalCharacter:
             m = self.coeffs.get(w, 0) + other.coeffs.get(w, 0)
             if m:
                 out[w] = m
-        return FormalCharacter(self.datum, b, out)
+        return FormalCharacter._trusted(self.datum, b, out)
 
     def __neg__(self):
-        return FormalCharacter(self.datum, self.window,
-                               {w: -m for w, m in self.coeffs.items()},
-                               self.support_certificate)
+        return FormalCharacter._trusted(self.datum, self.window,
+                                        {w: -m for w, m in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -395,7 +401,7 @@ class FormalCharacter:
     @staticmethod
     def from_character(ch: Character, window: int) -> "FormalCharacter":
         kept = {w: m for w, m in ch.mults.items() if sup_norm(w) <= window}
-        return FormalCharacter(ch.datum, window, kept)
+        return FormalCharacter._trusted(ch.datum, window, kept)
 
     @staticmethod
     def from_weight_polynomial(datum: RootDatum, p: WeightPolynomial,

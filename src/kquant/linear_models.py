@@ -551,11 +551,18 @@ def check_compatibility(m: LinearModel, phi_offset, bound) -> bool:
     phi_offset maps a component's support tuple to the constant
     deviation vector mu - phi there; a missing component raises
     NotOnVanishingSet.  The comparison is done squared, so it is exact
-    for rational bounds even when ||xi|| is irrational.
+    for rational bounds even when ||xi|| is irrational.  ValueError for a
+    negative bound or a deviation vector whose length is not the rank.
     """
     bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     offsets = {tuple(sorted(k)): tuple(Fraction(x) for x in v)
                for k, v in dict(phi_offset).items()}
+    for k, v in offsets.items():
+        if len(v) != m.rank:
+            raise ValueError(f"deviation {list(v)} on {k} has length {len(v)}, "
+                             f"not the rank {m.rank}")
     for comp in m._components:
         if comp.support not in offsets:
             raise NotOnVanishingSet(f"no deviation given on component {comp.support}")
@@ -568,19 +575,6 @@ def check_compatibility(m: LinearModel, phi_offset, bound) -> bool:
 
 # ------------------------------------------------------------ verify_qr
 
-class QRRow(NamedTuple):
-    gamma: tuple
-    q_top: int
-    q_red: int
-    regular: bool
-    match: bool
-
-    def to_dict(self):
-        return {"gamma": list(self.gamma), "q_top": self.q_top,
-                "q_red": self.q_red, "regular": self.regular,
-                "match": self.match}
-
-
 @dataclass
 class QRReport:
     """The two quantization routes on a window, kept as sparse columns.
@@ -589,8 +583,8 @@ class QRReport:
     series coefficient (q_top) and nonzero lattice count (q_red); a
     weight absent from a map is 0 there.  regular holds one flag per
     weight, in dominant_window order, and verdict is series == counts.
-    The rows property, to_dict and table expand the columns into one row
-    per weight of the window, in that order.
+    to_dict and table expand the columns into one row per weight of the
+    window, in that order.
     """
 
     model: LinearModel
@@ -606,10 +600,6 @@ class QRReport:
         for gamma, regular in zip(dominant_window(self.model.datum, self.window),
                                   self.regular):
             yield gamma, q_top(gamma, 0), q_red(gamma, 0), regular
-
-    @property
-    def rows(self) -> list:
-        return [QRRow(g, a, b, r, a == b) for g, a, b, r in self._cells()]
 
     def to_dict(self):
         return {"model": self.model.to_dict(), "window": self.window,

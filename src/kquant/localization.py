@@ -158,13 +158,16 @@ class DiscreteKCycle:
     def is_finite(self) -> bool:
         return self.family is None
 
+    def _mapped(self, f) -> "DiscreteKCycle":
+        """f(sign, comp) in place of every (sign, comp), the family's included."""
+        base = self.family
+        fam = None if base is None else (lambda i: f(*base(i)))
+        return DiscreteKCycle(self.datum, tuple(f(s, c) for s, c in self.components),
+                              fam, self.enumeration_bound)
+
     def negate(self) -> "DiscreteKCycle":
-        comps = tuple((-s, c) for s, c in self.components)
-        fam = None
-        if self.family is not None:
-            base = self.family
-            fam = lambda i: (lambda sc: (-sc[0], sc[1]))(base(i))
-        return DiscreteKCycle(self.datum, comps, fam, self.enumeration_bound)
+        """Orientation reversal: negates every component sign."""
+        return self._mapped(lambda s, c: (-s, c))
 
     def materialized(self) -> "DiscreteKCycle":
         """Expand the family (if any) into an explicit component list."""
@@ -215,11 +218,6 @@ class DiscreteKCycle:
         comps = tuple(ClosedComponent.from_dict(c) for c in d.get("components", []))
         return DiscreteKCycle(datum, comps,
                               enumeration_bound=d.get("enumeration_bound"))
-
-
-def cycle_negate(k: DiscreteKCycle) -> DiscreteKCycle:
-    """Orientation reversal: negates every component sign."""
-    return k.negate()
 
 
 def closed_index(component: ClosedComponent, datum: RootDatum = None) -> WeightPolynomial:
@@ -346,14 +344,11 @@ def _window_guards(dirs, rank, box):
 def _expand_point(p: FixedPointDatum, xi, maxpair, box):
     """Polarized series of one fixed point, exact below the pairing cap.
 
-    Returns (terms, low): the series terms with pairing <= maxpair that
-    lie in the box [-box, box]^r, and a lower bound valid for the pairing
-    of every term of the full series: the minimal fiber pairing plus one
-    mandatory step from each factor whose geometric series starts at
-    k = 1.  The box is never enumerated: on the last factor its
-    coordinate guards (+-e_t, bound box) cut each term's range of k to
-    exactly the box, and a point without tangent weights has its fiber
-    cut directly.
+    Returns the series terms with pairing <= maxpair that lie in the box
+    [-box, box]^r, as {weight: nonzero coefficient}.  The box is never
+    enumerated: on the last factor its coordinate guards (+-e_t, bound
+    box) cut each term's range of k to exactly the box, and a point
+    without tangent weights has its fiber cut directly.
 
     Terms are kept as packed integers, so vector addition is plain int
     addition.  From the top down a term holds its pairing with xi, then
@@ -377,10 +372,9 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
         steps.append((w, pw))
     steps.sort(key=lambda wp: -abs(wp[1]))
     fmin = min(dot(v, xi) for v in fiber)
-    low = fmin + sum(pw for _, pw in steps if pw > 0)
     budget0 = maxpair - fmin
     if budget0 < 0:
-        return {}, low
+        return {}
     if not steps:
         fiber = {v: c for v, c in fiber.items() if sup_norm(v) <= box}
     dirs = [neg(w) if pw < 0 else w for w, pw in steps]
@@ -432,7 +426,7 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
         cur[u] = cur.get(u, 0) + c
     for j, (w, pw) in enumerate(steps):
         if not cur:
-            return {}, low
+            return {}
         stride = lin(dirs[j])
         # (1 - t^{-w})^{-1} = sum_{k>=0} t^{-kw} when pw < 0, and
         # -t^w (1 - t^w)^{-1} = -sum_{k>=1} t^{kw} when pw > 0: either way
@@ -491,7 +485,7 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
         if m > 1 and sum(v) % m:
             continue
         out[v] = c
-    return out, low
+    return out
 
 
 def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
@@ -527,15 +521,12 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
         box = max(map(sup_norm, pts))
         maxpair = max(dot(pt, xi) for pt in pts)
     acc = {}
-    lows = []
     for sign, comp in k.iter_certified(xi, maxpair):
         if not datum.is_torus and any(p.orbifold_order > 1 for p in comp.fixed_points):
             raise OrbifoldAveragingUnsupported(
                 "orbifold averaging outside a torus lattice is not expressible")
         for p in comp.fixed_points:
-            terms, low = _expand_point(p, xi, maxpair, box)
-            lows.append(low)
-            for v, c in terms.items():
+            for v, c in _expand_point(p, xi, maxpair, box).items():
                 cc = acc.get(v, 0) + sign * c
                 if cc:
                     acc[v] = cc
@@ -548,9 +539,7 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
             m = sum(sgn * acc.get(pt, 0) for pt, sgn in rows)
             if m:
                 coeffs[lam] = m
-    lowbound = min(lows, default=Fraction(0))
-    return FormalCharacter(datum, window, coeffs,
-                           support_certificate=(tuple(xi), lowbound))
+    return FormalCharacter._trusted(datum, window, coeffs)
 
 
 def character_window(k: DiscreteKCycle, window: int) -> FormalCharacter:

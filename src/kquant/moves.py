@@ -176,12 +176,7 @@ def bundle_modification(k: DiscreteKCycle, fiber: ClosedComponent,
                     for p in comp.fixed_points for q in fiber.fixed_points)
         return ClosedComponent(f"{comp.label}*{fiber.label}", pts)
 
-    comps = tuple((s, modify(c)) for s, c in k.components)
-    fam = None
-    if k.family is not None:
-        base = k.family
-        fam = lambda i: (lambda sc: (sc[0], modify(sc[1])))(base(i))
-    out = DiscreteKCycle(k.datum, comps, fam, k.enumeration_bound)
+    out = k._mapped(lambda s, c: (s, modify(c)))
     if xi is None:
         xi = auto_polarization(out, k)
     cert = certify(polarized_index(k, xi, window), polarized_index(out, xi, window))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import kquant as kq
 from kquant.characters import exact_divide
-from helpers import (A1, A2, A3, T1, T2, random_formal_character, random_virtual_character,
-                     rescan_exact_divide, strip_loop_decompose)
+from helpers import (A1, A2, A3, T1, T2, random_formal_character, random_torus_component,
+                     random_virtual_character, rescan_exact_divide, strip_loop_decompose)
 
 WP = kq.WeightPolynomial
 A4 = kq.build_root_datum("A", 4)
@@ -248,6 +248,44 @@ def test_formal_character_sum_and_agreement_match_a_box_walk():
             assert (a - b).coeffs == _box_walk(a, -b)[1]
             verdicts.add(agree)
     assert verdicts == {True, False}
+
+
+def _check_built(r):
+    """An engine-built result is what the checked constructor makes of its data."""
+    assert kq.FormalCharacter(r.datum, r.window, dict(r.coeffs)) == r
+    assert 0 not in r.coeffs.values()
+
+
+def test_engine_built_results_pass_the_public_checks():
+    rng = random.Random(61)
+    results = []
+    for _ in range(30):
+        comp = random_torus_component(rng)
+        rank = len(next(iter(comp.fixed_points[0].fiber_character.terms)))
+        datum = (T1, T2)[rank - 1]
+        k = kq.DiscreteKCycle(datum, ((rng.choice((1, -1)), comp),))
+        results.append(kq.polarized_index(k, None, rng.randint(1, 4)))
+    for datum in (A1, A2):
+        for _ in range(6):
+            fc = random_formal_character(rng, datum, rng.randint(1, 3), regular_only=True)
+            results.append(kq.polarized_index(kq.p_map(fc), None, rng.randint(1, 3)))
+    for datum in (T2, A2):
+        for _ in range(6):
+            ch = kq.decompose(datum, random_virtual_character(rng, datum, 2))
+            results.append(kq.FormalCharacter.from_character(ch, rng.randint(0, 4)))
+    assert sum(len(r.coeffs) for r in results) > 50  # not mostly empty
+    derived = []
+    for a, b in zip(results, results[1:]):
+        derived += [a.restrict(rng.randint(0, a.window)), -a]
+        if a.datum == b.datum:
+            derived += [a + b, a - b, a + (-a)]
+    for r in results + derived:
+        _check_built(r)
+    # torus products that cancel: t^1 from t^0 * t^1 and t^1 * -t^0
+    f = kq.FormalCharacter(T1, 5, {(0,): 1, (1,): 1})
+    out = kq.formal_multiply(f, kq.Character(T1, {(1,): 1, (0,): -1}))
+    assert out.coeffs == {(0,): -1, (2,): 1}
+    _check_built(out)
 
 
 def test_decompose_matches_the_strip_loop():

@@ -189,8 +189,8 @@ def _on_wall(m, target):
 
 def _qr_counts(m, window):
     """{gamma: (q_red, regular)} of verify_qr on a copy of m with its own counter."""
-    rows = kq.verify_qr(kq.LinearModel.from_dict(m.to_dict()), window).rows
-    return {r.gamma: (r.q_red, r.regular) for r in rows}
+    rows = kq.verify_qr(kq.LinearModel.from_dict(m.to_dict()), window).to_dict()["rows"]
+    return {tuple(r["gamma"]): (r["q_red"], r["regular"]) for r in rows}
 
 
 # Repeated, parallel or dependent weights at the small-pairing end of the
@@ -301,29 +301,28 @@ def test_window_pass_matches_single_weight_counts():
 
 
 def _dense_rows(m, window):
-    """verify_qr rows built point by point from the two public routes."""
+    """verify_qr's JSON rows built point by point from the two public routes."""
     series = kq.formal_quantization(m, window).coeffs.get
     rows = []
     for gamma in kq.dominant_window(m.datum, window):
         q_top = series(gamma, 0)
         q_red, regular = kq.reduction_multiplicity(m, gamma)
-        rows.append(kq.QRRow(gamma, q_top, q_red, regular, q_top == q_red))
+        rows.append({"gamma": list(gamma), "q_top": q_top, "q_red": q_red,
+                     "regular": regular, "match": q_top == q_red})
     return rows
 
 
 def _check_report(rep, m, window, rows):
-    """rep's rows, verdict, to_dict and table all equal the dense rows."""
-    assert rep.rows == rows, (m.to_dict(), window)
-    assert rep.verdict is all(r.match for r in rows)
-    dict_rows = [{"gamma": list(r.gamma), "q_top": r.q_top, "q_red": r.q_red,
-                  "regular": r.regular, "match": r.match} for r in rows]
-    assert [r.to_dict() for r in rep.rows] == dict_rows
+    """rep's columns, verdict, to_dict and table all equal the dense rows."""
     assert rep.to_dict() == {"model": m.to_dict(), "window": window,
-                             "verdict": rep.verdict, "rows": dict_rows}
+                             "verdict": rep.verdict, "rows": rows}, (m.to_dict(), window)
+    assert rep.verdict is all(r["match"] for r in rows)
+    assert rep.series == {tuple(r["gamma"]): r["q_top"] for r in rows if r["q_top"]}
+    assert rep.counts == {tuple(r["gamma"]): r["q_red"] for r in rows if r["q_red"]}
     low = lambda b: "true" if b else "false"
     assert rep.table().split("\n") == (
         ["gamma\tq_top\tq_red\tregular\tmatch"]
-        + [f"{list(r.gamma)}\t{r.q_top}\t{r.q_red}\t{low(r.regular)}\t{low(r.match)}"
+        + [f"{r['gamma']}\t{r['q_top']}\t{r['q_red']}\t{low(r['regular'])}\t{low(r['match'])}"
            for r in rows]
         + [f"verdict\t{low(rep.verdict)}"])
 
@@ -363,12 +362,12 @@ def test_report_mismatch_names_the_faulty_row(fault, monkeypatch, tmp_path, caps
     faulty = kq.FormalCharacter(m.datum, window, coeffs)
     monkeypatch.setattr(lm, "formal_quantization", lambda model, w: faulty)
 
-    rows = _dense_rows(m, window)
-    rows = [r._replace(q_top=q_top, match=False) if r.gamma == gamma else r for r in rows]
+    faulty_row = {"gamma": list(gamma), "q_top": q_top, "q_red": q_red,
+                  "regular": regular, "match": False}
+    rows = [faulty_row if r["gamma"] == list(gamma) else r for r in _dense_rows(m, window)]
     rep = kq.verify_qr(m, window)
     assert rep.verdict is False
-    assert [r for r in rep.rows if not r.match] == [
-        kq.QRRow(gamma, q_top, q_red, regular, False)]
+    assert [r for r in rep.to_dict()["rows"] if not r["match"]] == [faulty_row]
     _check_report(rep, m, window, rows)
 
     path = tmp_path / "m.json"
@@ -376,9 +375,7 @@ def test_report_mismatch_names_the_faulty_row(fault, monkeypatch, tmp_path, caps
     assert main(["verify-qr", str(path), "--window", str(window)]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] is False
-    assert [r for r in doc["rows"] if not r["match"]] == [
-        {"gamma": list(gamma), "q_top": q_top, "q_red": q_red,
-         "regular": regular, "match": False}]
+    assert [r for r in doc["rows"] if not r["match"]] == [faulty_row]
     assert main(["verify-qr", str(path), "--window", str(window),
                  "--format", "table"]) == 2
     lines = capsys.readouterr().out.splitlines()
@@ -680,13 +677,12 @@ def test_separation_certificate_is_a_typed_error(monkeypatch):
 def test_verify_qr_examples():
     rep = kq.verify_qr(kq.linear_model([(1,), (1,)], (0,)), 6)
     assert rep.verdict
-    got = {r.gamma: r.q_top for r in rep.rows if r.q_top}
-    assert got == {(n,): n + 1 for n in range(7)}
+    assert rep.series == {(n,): n + 1 for n in range(7)}
     rep2 = kq.verify_qr(kq.linear_model([(1, 0), (0, 1)], (-1, -1)), 3)
     assert rep2.verdict
     rep3 = kq.verify_qr(kq.LinearModel(T1, (), (0,)), 4)
     assert rep3.verdict
-    assert sum(r.q_top for r in rep3.rows) == 1
+    assert sum(r["q_top"] for r in rep3.to_dict()["rows"]) == 1
 
 
 def test_verify_qr_random_corpus():
@@ -715,7 +711,7 @@ def test_verify_qr_thin_cone():
                          (-1, -3, 0), (-1, 3, 3)], (-2, 2, 0))
     rep = kq.verify_qr(m, 6)
     assert rep.verdict
-    assert sum(r.q_top for r in rep.rows) == 6602
+    assert sum(rep.series.values()) == 6602
 
 
 def test_verify_qr_rank_four_with_repeated_weights():
@@ -995,6 +991,22 @@ def test_compatibility_reuses_the_decomposition(monkeypatch):
     with pytest.raises(kq.NotOnVanishingSet):
         kq.check_compatibility(m, {(): (0, 0)}, 1)
     assert len(calls) == solved
+
+
+def test_compatibility_rejects_a_negative_bound():
+    m = kq.linear_model([(1, 0), (0, 1), (1, 1)], (-1, -1))
+    offsets = {c.support: (0, 0) for c in kq.vanishing_decomposition(m)}
+    assert kq.check_compatibility(m, offsets, 0)
+    with pytest.raises(ValueError):
+        kq.check_compatibility(m, offsets, -1)
+
+
+def test_compatibility_rejects_deviations_of_the_wrong_length():
+    m = kq.linear_model([(1, 0), (0, 1), (1, 1)], (-1, -1))
+    for zero in ((0, 0, 0), (0,)):
+        offsets = {c.support: zero for c in kq.vanishing_decomposition(m)}
+        with pytest.raises(ValueError):
+            kq.check_compatibility(m, offsets, 1)
 
 
 def test_compatibility_missing_component():

@@ -88,14 +88,14 @@ def test_closed_sum_signs():
 def test_cycle_negate_involution():
     rng = random.Random(0)
     k = random_closed_cycle_t1(rng)
-    assert kq.closed_sum(kq.cycle_negate(k)) == -kq.closed_sum(k)
-    assert kq.closed_sum(kq.cycle_negate(kq.cycle_negate(k))) == kq.closed_sum(k)
+    assert kq.closed_sum(k.negate()) == -kq.closed_sum(k)
+    assert kq.closed_sum(k.negate().negate()) == kq.closed_sum(k)
 
 
 def test_empty_cycle():
     k = kq.DiscreteKCycle(T1, ())
     assert kq.closed_sum(k) == WP.zero()
-    assert kq.cycle_negate(k).components == ()
+    assert k.negate().components == ()
 
 
 def test_orbifold_football_is_invariant_part():
@@ -349,12 +349,8 @@ def _series_reference(p, xi, maxpair, box):
 
 
 def _check_against_reference(p, xi, maxpair, box):
-    terms, low = _expand_point(p, xi, maxpair, box)
+    terms = _expand_point(p, xi, maxpair, box)
     assert terms == _series_reference(p, xi, maxpair, box)
-    # the lower bound is the pairing of the series' lowest term
-    steps = [_pairing(w, xi) for w in p.tangent_weights]
-    fmin = min(_pairing(v, xi) for v in p.fiber_character.terms)
-    assert low == fmin + sum(s for s in steps if s > 0)
     return terms
 
 

@@ -45,7 +45,7 @@ def test_disk_decomposition_negative_series():
 
 def test_disk_decompositions_do_not_interfere():
     plus = kq.disk_decomposition(1, 12)
-    minus = kq.cycle_negate(kq.disk_decomposition(-1, 12))
+    minus = kq.disk_decomposition(-1, 12).negate()
     both = kq.disjoint_union(plus, minus)
     total = kq.closed_sum(both)
     for n in range(0, 13):
