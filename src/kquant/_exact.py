@@ -6,13 +6,15 @@ prev, p the new pivot and prev the one before; the division is exact
 because every entry is a minor of the input, so no Fraction is built.
 solve (a square system with its determinant), nullspace and cramer_kit
 (a greedy basis of a span with the rows that solve for it) are one such
-elimination each.  lattice_tests alone eliminates differently: by
-unimodular row and column operations, for the group vectors generate.
+elimination each, hyperplanes one per subset.  lattice_tests alone
+eliminates differently: by unimodular row and column operations, for the
+group vectors generate.
 residue_kit is gcd arithmetic for the last loop level of the counting route.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -74,6 +76,15 @@ def nullspace(rows, width):
         v = primitive(v)
         basis.append(v if next(filter(None, v)) > 0 else tuple(-x for x in v))
     return basis
+
+
+def hyperplanes(vectors, rank):
+    """Sorted primitive normals of the hyperplanes spanned by rank - 1 of the vectors.
+
+    Each is the one vector of a subset's nullspace; a subset with a larger one spans none.
+    """
+    spans = (nullspace(s, rank) for s in itertools.combinations(sorted(set(vectors)), rank - 1))
+    return sorted({ns[0] for ns in spans if len(ns) == 1})
 
 
 def cramer_kit(vectors, rank):

@@ -435,17 +435,10 @@ def formal_multiply(f: FormalCharacter, c: Character) -> FormalCharacter:
         raise WindowExhausted(f"window {f.window} cannot absorb margin {margin}")
     datum = f.datum
     out = {}
-    if datum.is_torus:
-        for lam, a in f.coeffs.items():
-            for mu, b in c.mults.items():
-                w = add(lam, mu)
-                if sup_norm(w) <= window:
-                    out[w] = out.get(w, 0) + a * b
-    else:
-        for lam, a in f.coeffs.items():
-            for mu, b in c.mults.items():
-                prod = weyl_character(datum, lam) * weyl_character(datum, mu)
-                for nu, m in decompose(datum, prod).mults.items():
-                    if sup_norm(nu) <= window:
-                        out[nu] = out.get(nu, 0) + a * b * m
+    for lam, a in f.coeffs.items():
+        for mu, b in c.mults.items():
+            prod = weyl_character(datum, lam) * weyl_character(datum, mu)
+            for nu, m in decompose(datum, prod).mults.items():
+                if sup_norm(nu) <= window:
+                    out[nu] = out.get(nu, 0) + a * b * m
     return FormalCharacter(datum, window, out)

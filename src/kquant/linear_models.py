@@ -37,16 +37,16 @@ asked.  vanishing_decomposition solves V^mu = 0 exactly: on the stratum
 where exactly the coordinates in S are nonzero the condition is
 <w_j, mu(z)> = 0 for j in S, a linear system in the action variables
 a_j = |z_j|^2 / 2 whose solution set is a rational polytope.  Each
-column set's Gram system is solved once per model and every stratum's
-vertices are read off that table.  mu is constant on a stratum, so the
-connected components of the full zero set are the fibres of mu: the
-strata grouped by their mu value.  The components are kept on the model
-for check_compatibility.
+column set's Gram system is solved once per model, with its mu value,
+and every stratum is read off the rows of that table.  mu is constant on
+a stratum, so the connected components of the full zero set are the
+fibres of mu: the strata grouped by their mu value.  The components are
+kept on the model for check_compatibility.
 
 Every determinant, square solve and nullspace here (separation, the
-counter's basis and walls, stratum vertices, stabilizers) is the
+counter's basis and walls, the vanishing rows, stabilizers) is the
 integer fraction-free elimination of _exact; results become Fractions
-only as outputs (the min-norm winner, vertices, mu values).
+only as outputs (the min-norm winner, mu values).
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from fractions import Fraction
 from operator import add, mul, neg as negative
 from typing import NamedTuple
 
-from ._exact import cramer_kit, lattice_tests, nullspace, residue_kit, solve
+from ._exact import (cramer_kit, hyperplanes, lattice_tests, nullspace,
+                     residue_kit, solve)
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
                      WindowExhausted)
@@ -212,15 +213,10 @@ def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:
 def _wall_normals(weights, rank):
     """Integer normal systems of the maximal walls spanned by < rank weights.
 
-    Maximal walls: subsets of size min(d, rank-1) of the d distinct
-    weights.  A smaller subset spans a wall inside one of these, so the
-    union of the walls, and with it the regular flag, is unchanged.
+    The hyperplanes spanned by rank - 1 weights, one normal each, or else
+    the weights' span alone: every other wall lies inside one of these.
     """
-    distinct = sorted(set(weights))
-    walls = {}
-    for subset in itertools.combinations(distinct, min(len(distinct), rank - 1)):
-        walls[tuple(sorted(nullspace(subset, rank)))] = True
-    return list(walls)
+    return [(n,) for n in hyperplanes(weights, rank)] or [tuple(nullspace(weights, rank))]
 
 
 def _box_sums(v, base, axes):
@@ -252,8 +248,9 @@ class _LatticeCounter:
     zero-digit bit test, with `ones` the lowest bits), and outside the
     cone iff a supporting field lacks its top bit (`cone`).  Widths come
     from the normals, the shift and `reach`, the largest |gamma_t| they
-    hold; a wider gamma re-packs from the weights.  Walls with several
-    normals (`thick`) are tested directly.
+    hold; a wider gamma re-packs from the weights.  When no rank - 1
+    weights span a hyperplane, the one wall is the weights' span, whose
+    several normals (`thick`) are tested directly.
 
     Lattice.  A nonzero count needs gamma - c in the group the weights
     generate; `lattice` holds the functionals that decide it (see
@@ -463,51 +460,39 @@ def _column_table(m: LinearModel) -> list:
 
     A vertex of a stratum solves the Gram subsystem of its nonzero
     coordinates, which is singular above m.rank columns (W^T W has rank
-    <= m.rank).  That subsystem depends only on its own weights and the
-    shift, so each column set of at most m.rank weights is solved once
-    per model.  Rows are (cols, g, g * x, holds) for the solutions with
-    det g > 0 (a principal minor of the Gram matrix) and x >= 0; holds
-    is the set of j with <w_j, mu> = 0 at that point, checked on g * x.
+    <= m.rank), so each column set of at most m.rank weights is solved
+    once per model.  Rows are (cols, nonzero, holds, mu) for the solutions
+    with det g > 0 and x >= 0: nonzero the columns with x > 0, holds the
+    j with <w_j, g * mu> = 0 on the integer g * mu = g * c + sum gx_j w_j,
+    and mu its one Fraction vector.
     """
-    ws = m.weights
+    ws, c0 = m.weights, m.shift
     gram = [[dot(u, v) for v in ws] for u in ws]
-    rhs = [-dot(u, m.shift) for u in ws]
+    rhs = [-dot(u, c0) for u in ws]
     table = []
     for size in range(min(len(ws), m.rank) + 1):
         for cols in itertools.combinations(range(len(ws)), size):
             g, gx = solve([[gram[i][c] for c in cols] for i in cols], [rhs[i] for i in cols])
             if g and min(gx, default=0) >= 0:
-                holds = {j for j, (row, r) in enumerate(zip(gram, rhs))
-                         if sum(row[c] * x for c, x in zip(cols, gx)) == g * r}
-                table.append((cols, g, gx, holds))
+                gmu = [g * c + sum(x * ws[j][t] for j, x in zip(cols, gx))
+                       for t, c in enumerate(c0)]
+                table.append((frozenset(cols), frozenset(j for j, x in zip(cols, gx) if x),
+                              frozenset(j for j, w in enumerate(ws) if not dot(w, gmu)),
+                              tuple(Fraction(x, g) for x in gmu)))
     return table
-
-
-def _stratum_vertices(table, support):
-    """Vertices of {a >= 0 on support : <w_i, mu> = 0 for i in support}.
-
-    A row of _column_table is a vertex of the stratum exactly when
-    cols <= support <= holds; vertices are Fractions indexed by position
-    in support.
-    """
-    verts = set()
-    for cols, g, gx, holds in table:
-        if holds.issuperset(support) and set(cols).issubset(support):
-            at = dict(zip(cols, gx))
-            verts.add(tuple(Fraction(at.get(j, 0), g) for j in support))
-    return sorted(verts)
 
 
 def vanishing_decomposition(m: LinearModel) -> list:
     """Connected components of V^mu = 0, exactly, for a proper model.
 
-    Enumerates the 2^d coordinate supports and reads each stratum's
-    vertices off one table of Gram solves (_column_table).  mu is
-    constant on a stratum (mu - c lies in the span of its weights and
-    is orthogonal to it), and the points with one value p of mu form a
-    convex polytope, so the components are the fibres of mu: the
-    strata grouped by their mu value.  CertificateFailed if the vertices
-    of one stratum disagree on mu, or if a group misses its union
+    Enumerates the 2^d coordinate supports S and reads each off one
+    table of Gram solves (_column_table): the rows with cols <= S <= holds
+    are its vertices, and S is a stratum when their nonzero sets cover S.
+    mu is constant on a stratum (mu - c lies in the span of its weights
+    and is orthogonal to it), and the points with one value p of mu form
+    a convex polytope, so the components are the fibres of mu: the
+    strata grouped by their mu value.  CertificateFailed if the rows of
+    one stratum disagree on mu, or if a group misses its union
     support as a stratum (the average of its points has that support).
     All components of a proper model are compact, which is certified by
     the Farkas vector.  The components are computed once per model and
@@ -523,12 +508,11 @@ def _vanishing_components(m: LinearModel) -> tuple:
     groups = {}
     for size in range(d + 1):
         for support in itertools.combinations(range(d), size):
-            verts = _stratum_vertices(table, support)
-            if not verts or not all(any(v[i] for v in verts) for i in range(size)):
+            s = set(support)
+            rows = [(nonzero, mu) for cols, nonzero, holds, mu in table if cols <= s <= holds]
+            if not rows or set().union(*(n for n, _ in rows)) != s:
                 continue  # no point with support exactly this set
-            mus = {tuple(Fraction(c) + sum(x * m.weights[j][t] for x, j in zip(v, support) if x)
-                         for t, c in enumerate(m.shift))
-                   for v in verts}
+            mus = {mu for _, mu in rows}
             if len(mus) != 1:
                 raise CertificateFailed(f"vertices of stratum {support} disagree on mu")
             groups.setdefault(mus.pop(), []).append(support)
@@ -552,7 +536,8 @@ def check_compatibility(m: LinearModel, phi_offset, bound) -> bool:
     deviation vector mu - phi there; a missing component raises
     NotOnVanishingSet.  The comparison is done squared, so it is exact
     for rational bounds even when ||xi|| is irrational.  ValueError for a
-    negative bound or a deviation vector whose length is not the rank.
+    negative bound, a deviation vector whose length is not the rank, or
+    a deviation keyed by a support that is no component.
     """
     bound = Fraction(bound)
     if bound < 0:
@@ -563,6 +548,9 @@ def check_compatibility(m: LinearModel, phi_offset, bound) -> bool:
         if len(v) != m.rank:
             raise ValueError(f"deviation {list(v)} on {k} has length {len(v)}, "
                              f"not the rank {m.rank}")
+    if unknown := offsets.keys() - {comp.support for comp in m._components}:
+        raise ValueError(f"deviations on {', '.join(sorted(map(str, unknown)))}, "
+                         "which are no components")
     for comp in m._components:
         if comp.support not in offsets:
             raise NotOnVanishingSet(f"no deviation given on component {comp.support}")

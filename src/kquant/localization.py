@@ -36,13 +36,12 @@ over the m-th roots of unity and keeps every coefficient an integer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exact import nullspace, primitive
+from ._exact import hyperplanes, nullspace, primitive
 from .characters import FormalCharacter, WeightPolynomial, exact_divide
 from .errors import (DegeneratePolarization, EnumerationUnbounded,
                      NonIsolatedFixedPoint, NotClosed,
@@ -325,17 +324,11 @@ def _window_guards(dirs, rank, box):
     functional phi that is nonnegative on those directions therefore
     forces <u, phi> <= max over the box of <gamma, phi>, which is box *
     sum |phi_i| in closed form.  Candidates come from hyperplanes spanned
-    by rank - 1 directions (a smaller subset has a nullspace of dimension
-    at least two), from the annihilator of the whole direction span, and
-    from coordinate functionals; validity against a concrete suffix is
-    re-checked by the caller before use.
+    by rank - 1 directions (_exact.hyperplanes), from the annihilator of
+    the whole direction span, and from coordinate functionals; validity
+    against a concrete suffix is re-checked by the caller before use.
     """
-    uniq = sorted(set(dirs))
-    phis = set(nullspace(uniq, rank))
-    for subset in itertools.combinations(uniq, rank - 1):
-        ns = nullspace(subset, rank)
-        if len(ns) == 1:
-            phis.add(ns[0])
+    phis = {*nullspace(dirs, rank), *hyperplanes(dirs, rank)}
     phis.update(tuple(int(i == t) for i in range(rank)) for t in range(rank))
     cands = sorted(phis | {neg(phi) for phi in phis})  # both signs of each
     return [(phi, box * sum(map(abs, phi))) for phi in cands]

@@ -198,11 +198,14 @@ def product_cycle(a: DiscreteKCycle, b: DiscreteKCycle) -> DiscreteKCycle:
     if not b.components:
         return DiscreteKCycle(a.datum)
 
-    def merged(c1: ClosedComponent) -> ClosedComponent:
+    base = a.family
+
+    def family(i):
+        s1, c1 = base(i)
         pts = tuple(_product_point(p, q, s2)
                     for s2, c2 in b.components
                     for p in c1.fixed_points for q in c2.fixed_points)
-        return ClosedComponent(f"{c1.label}x(...)", pts)
+        return s1, ClosedComponent(f"{c1.label}x(...)", pts)
 
     comps = tuple(
         (s1 * s2, ClosedComponent(f"{c1.label}x{c2.label}",
@@ -210,11 +213,8 @@ def product_cycle(a: DiscreteKCycle, b: DiscreteKCycle) -> DiscreteKCycle:
                                         for p in c1.fixed_points
                                         for q in c2.fixed_points)))
         for s1, c1 in a.components for s2, c2 in b.components)
-    fam = None
-    if a.family is not None:
-        base = a.family
-        fam = lambda i: (lambda sc: (sc[0], merged(sc[1])))(base(i))
-    return DiscreteKCycle(a.datum, comps, fam, a.enumeration_bound)
+    return DiscreteKCycle(a.datum, comps, None if base is None else family,
+                          a.enumeration_bound)
 
 
 def certify_disjoint_union(a, b, window, xi=None):

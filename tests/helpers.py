@@ -285,6 +285,20 @@ def random_virtual_character(rng, datum, top):
     return total
 
 
+def maximal_wall_normals(weights, rank):
+    """Reference walls: the normal systems of every rank - 1 distinct weights.
+
+    Subsets of size min(d, rank - 1) of the d distinct weights, one
+    integer nullspace each, so a dependent subset gives a wall with
+    several normals; a smaller subset spans a wall inside one of these.
+    """
+    distinct = sorted(set(weights))
+    walls = {}
+    for subset in itertools.combinations(distinct, min(len(distinct), rank - 1)):
+        walls[tuple(sorted(nullspace(subset, rank)))] = True
+    return list(walls)
+
+
 def per_support_vertices(m, support):
     """Reference stratum vertices: every column subset of the support solved anew.
 

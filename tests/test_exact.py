@@ -1,7 +1,7 @@
 """The integer linear-algebra core against independent references.
 
-solve is checked against the Leibniz formula and, with nullspace and
-cramer_kit, against Gauss-Jordan elimination over Fraction
+solve is checked against the Leibniz formula and, with nullspace,
+hyperplanes and cramer_kit, against Gauss-Jordan elimination over Fraction
 (helpers.fraction_rref).  Entries reach 10**20, so a Bareiss division
 that was not exact would show.  residue_kit is checked against a brute
 force over two periods of its modulus.
@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kquant._exact import cramer_kit, nullspace, primitive, residue_kit, solve
+from kquant._exact import cramer_kit, hyperplanes, nullspace, primitive, residue_kit, solve
 from helpers import fraction_nullspace, fraction_rref, fraction_solve
 
 BIG = 10 ** 20
@@ -71,6 +71,9 @@ def test_edge_cases():
     assert nullspace([[2, -4]], 2) == [(2, 1)]
     assert nullspace([[1, 2, 3]], 0) == []
     assert primitive((-4, 6, 0)) == (-2, 3, 0)
+    assert hyperplanes([], 1) == [(1,)] and hyperplanes([], 2) == []
+    assert hyperplanes([(1, 2), (2, 4), (-1, 0)], 2) == [(0, 1), (2, -1)]
+    assert hyperplanes([(1, 0, 0), (2, 0, 0)], 3) == []
     assert cramer_kit([], 2) == ((), 1, ())
     assert cramer_kit([(-3,), (2,)], 1) == ((0,), 3, ((-1,),))
     assert cramer_kit([(1, 1), (2, 2), (0, 1)], 2) == ((0, 2), 1, ((1, 0), (-1, 1)))
@@ -100,6 +103,20 @@ def test_nullspace_matches_fraction_elimination(mat):
     for v in basis:
         assert math.gcd(*v) == 1 and next(filter(None, v)) > 0
         assert all(sum(map(int.__mul__, row, v)) == 0 for row in mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+    st.integers(0, 6).flatmap(lambda d: matrices(d, rank)), st.just(rank))))
+def test_hyperplanes_match_fraction_nullspaces(case):
+    vectors, rank = case  # repeated, parallel and dependent vectors included
+    vectors = [tuple(v) for v in vectors]
+    ref = set()
+    for subset in itertools.combinations(vectors, rank - 1):
+        basis = fraction_nullspace(subset, rank)
+        if len(basis) == 1:
+            ref.add(basis[0])
+    assert hyperplanes(vectors + vectors[:1], rank) == sorted(ref)
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,7 +15,8 @@ import pytest
 
 import kquant as kq
 from helpers import (T1, fraction_nullspace, fraction_solve, glued_components,
-                     random_proper_model, recursive_count)
+                     maximal_wall_normals, per_support_vertices, random_proper_model,
+                     recursive_count)
 
 WP = kq.WeightPolynomial
 
@@ -279,6 +280,32 @@ def test_regular_flag_on_degenerate_models():
                     for g in kq.dominant_window(empty.datum, 2)}
         assert {g: tuple(kq.reduction_multiplicity(empty, g)) for g in expected} == expected
         assert _qr_counts(empty, 2) == expected
+
+
+def test_regular_columns_match_every_maximal_wall():
+    # the counter packs the hyperplanes spanned by rank - 1 weights, or the
+    # weights' span when there are none; the reference tests every wall of
+    # rank - 1 distinct weights, the thick walls of dependent subsets too
+    rng = random.Random(61)
+    models = [random_proper_model(rng, max_d=6, max_r=4, entry=2, r=1 + i % 4)
+              for i in range(40)]
+    models += [kq.linear_model(w, c) for w, c in _DEGENERATE]
+    a, b = (1, 1, 0, 0), (1, 0, 1, 0)
+    models.append(kq.linear_model([a, tuple(2 * x for x in a), tuple(3 * x for x in a), b],
+                                  (0, 1, -1, 1)))
+    kinds = set()
+    for m in models:
+        walls = maximal_wall_normals(m.weights, m.rank)
+        sizes = {len(wall) > 1 for wall in walls}
+        kinds.add("redundant thick" if sizes == {True, False} else
+                  "thick only" if sizes == {True} else "hyperplanes only")
+        for window in range(4 if m.rank < 4 else 3):
+            box = kq.dominant_window(m.datum, window)
+            regular, _ = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
+            assert regular == [all(any(sum(x * (g - c) for x, g, c in zip(n, gamma, m.shift))
+                                       for n in wall) for wall in walls)
+                               for gamma in box], (m.to_dict(), window)
+    assert kinds == {"redundant thick", "thick only", "hyperplanes only"}
 
 
 def test_window_pass_matches_single_weight_counts():
@@ -601,36 +628,38 @@ def test_integer_separation_matches_fraction_min_norm():
 def test_glued_strata_certificate_is_a_typed_error(monkeypatch):
     from kquant import linear_models as lm
 
-    real = lm._stratum_vertices
+    real = lm._column_table
 
-    def skewed(m, support):
-        verts = real(m, support)
-        # a first vertex off the stratum's mu level
-        return [(Fraction(1), Fraction(0))] + verts if support == (0, 1) else verts
+    def skewed(m):
+        # a first row, read by support (0, 1) alone, at the point a = (1, 0)
+        # off the stratum's mu level
+        return [(frozenset({0, 1}), frozenset({0}), frozenset({0, 1}), (Fraction(-1),))] + real(m)
 
-    monkeypatch.setattr(lm, "_stratum_vertices", skewed)
-    with pytest.raises(kq.CertificateFailed, match="disagree on mu"):
+    monkeypatch.setattr(lm, "_column_table", skewed)
+    with pytest.raises(kq.CertificateFailed, match=r"vertices of stratum \(0, 1\) disagree on mu"):
         kq.vanishing_decomposition(kq.linear_model([(1,), (2,)], (-2,)))
 
 
 def test_missing_union_stratum_is_a_typed_error(monkeypatch):
     from kquant import linear_models as lm
 
-    real = lm._stratum_vertices
+    real = lm._column_table
 
-    def holed(table, support):
-        # the open segment between the two mu = 0 points goes missing
-        return [] if support == (0, 1) else real(table, support)
+    def holed(m):
+        # the open segment between the two mu = 0 points goes missing: their
+        # rows hold on their own weight only, so support (0, 1) reads no row
+        return [(c, n, c if len(c) == 1 else h, mu) for c, n, h, mu in real(m)]
 
-    monkeypatch.setattr(lm, "_stratum_vertices", holed)
+    monkeypatch.setattr(lm, "_column_table", holed)
     with pytest.raises(kq.CertificateFailed, match=r"miss their union \(0, 1\)"):
         kq.vanishing_decomposition(kq.linear_model([(1,), (2,)], (-2,)))
 
 
-_FAULTS = {  # name: (patched _stratum_vertices, expected message)
-    "skewed": ("lambda t, s: [(Fraction(1), Fraction(0))] + real(t, s) if s == (0, 1) "
-               "else real(t, s)", "disagree on mu"),
-    "holed": ("lambda t, s: [] if s == (0, 1) else real(t, s)", "miss their union"),
+_FAULTS = {  # name: (patched _column_table, expected message)
+    "skewed": ("lambda m: [(frozenset({0, 1}), frozenset({0}), frozenset({0, 1}), "
+               "(Fraction(-1),))] + real(m)", "vertices of stratum (0, 1) disagree on mu"),
+    "holed": ("lambda m: [(c, n, c if len(c) == 1 else h, mu) for c, n, h, mu in real(m)]",
+              "miss their union (0, 1)"),
 }
 
 
@@ -643,8 +672,8 @@ def test_vanishing_certificates_raise_under_optimize(fault):
         "import kquant as kq",
         "from kquant import linear_models as lm",
         "assert False, 'asserts are live'",
-        "real = lm._stratum_vertices",
-        f"lm._stratum_vertices = {_FAULTS[fault][0]}",
+        "real = lm._column_table",
+        f"lm._column_table = {_FAULTS[fault][0]}",
         "try:",
         "    kq.vanishing_decomposition(kq.linear_model([(1,), (2,)], (-2,)))",
         "except kq.CertificateFailed as exc:",
@@ -813,8 +842,9 @@ def _uncapped_vertices(m, support):
 
 def test_stratum_vertices_match_uncapped_enumeration():
     # only column sets of size <= rank are solved; larger Gram subsystems
-    # are singular, so every support must give the same vertex list
-    from kquant.linear_models import _column_table, _stratum_vertices
+    # are singular, so the rows each support reads (cols <= S <= holds) must
+    # carry exactly the nonzero coordinates and mu values of its vertices
+    from kquant.linear_models import _column_table
 
     nonzero = 0
     for m in _wide_models():
@@ -822,8 +852,13 @@ def test_stratum_vertices_match_uncapped_enumeration():
         table = _column_table(m)
         for support in itertools.chain.from_iterable(
                 itertools.combinations(range(d), size) for size in range(d + 1)):
-            verts = _stratum_vertices(table, support)
-            assert verts == _uncapped_vertices(m, support), (m.to_dict(), support)
+            s = set(support)
+            rows = {(n, mu) for cols, n, holds, mu in table if cols <= s <= holds}
+            verts = _uncapped_vertices(m, support)
+            assert rows == {(frozenset(j for x, j in zip(v, support) if x),
+                             tuple(c + sum(x * m.weights[j][t] for x, j in zip(v, support))
+                                   for t, c in enumerate(m.shift)))
+                            for v in verts}, (m.to_dict(), support)
             nonzero += sum(any(v) for v in verts)
     assert nonzero > 100
 
@@ -880,14 +915,11 @@ def _residual_grid(weights, shift, box, n):
 
 def _component_cloud(m, comps, per_stratum=400):
     rng = np.random.default_rng(0)
-    from kquant.linear_models import _column_table, _stratum_vertices
-
-    table = _column_table(m)
     pts = []
     for comp in comps:
         for stratum in comp.strata:
             verts = np.array([[float(x) for x in v]
-                              for v in _stratum_vertices(table, stratum)])
+                              for v in per_support_vertices(m, stratum)])
             lam = rng.dirichlet(np.ones(len(verts)), size=per_stratum)
             local = lam @ verts
             full = np.zeros((per_stratum, len(m.weights)))
@@ -968,17 +1000,17 @@ def test_compatibility_reuses_the_decomposition(monkeypatch):
     from kquant import linear_models as lm
 
     calls = []
-    real = lm._stratum_vertices
+    real = lm._column_table
 
-    def counted(m, support):
-        calls.append(support)
-        return real(m, support)
+    def counted(m):
+        calls.append(m)
+        return real(m)
 
-    monkeypatch.setattr(lm, "_stratum_vertices", counted)
+    monkeypatch.setattr(lm, "_column_table", counted)
     m = kq.linear_model([(1, 0), (0, 1), (1, 1)], (-1, -1))
     comps = kq.vanishing_decomposition(m)
     solved = len(calls)
-    assert solved
+    assert solved == 1
     offsets = {c.support: (0, 0) for c in comps}
     assert kq.check_compatibility(m, offsets, 0)
     assert len(calls) == solved
@@ -999,6 +1031,17 @@ def test_compatibility_rejects_a_negative_bound():
     assert kq.check_compatibility(m, offsets, 0)
     with pytest.raises(ValueError):
         kq.check_compatibility(m, offsets, -1)
+
+
+def test_compatibility_rejects_deviations_on_supports_that_are_no_component():
+    m = kq.linear_model([(1, 0), (0, 1), (1, 1)], (-1, -1))
+    offsets = {c.support: (0, 0) for c in kq.vanishing_decomposition(m)}
+    assert kq.check_compatibility(m, offsets, 0)
+    # no index set of the weights; a support with no point; two strata
+    # inside the component (0, 1, 2)
+    for key in ((7, 9), (0, 2), (0, 1), (2,)):
+        with pytest.raises(ValueError, match="no components"):
+            kq.check_compatibility(m, {**offsets, key: (5, 5)}, 0)
 
 
 def test_compatibility_rejects_deviations_of_the_wrong_length():
