@@ -27,6 +27,18 @@ from .root_data import (RootDatum, add, as_int, as_weight, is_dominant, neg,
                         signed_orbit_with_images, simple_reflection, sub, sup_norm)
 
 
+def _sum(a: dict, b: dict) -> dict:
+    """The sparse sum of two maps to nonzero ints: keys that cancel are dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        v += out.get(k, 0)
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
 class WeightPolynomial:
     """Finitely supported Z-linear combination of lattice weights.
 
@@ -90,15 +102,8 @@ class WeightPolynomial:
         return WeightPolynomial((w, -c) for w, c in self.terms.items())
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            c += out.get(w, 0)
-            if c:
-                out[w] = c
-            else:
-                del out[w]
         p = WeightPolynomial()
-        p.terms = out
+        p.terms = _sum(self.terms, other.terms)
         return p
 
     def __sub__(self, other):
@@ -276,14 +281,7 @@ class Character:
     def __add__(self, other):
         if self.datum != other.datum:
             raise ValueError("datum mismatch")
-        out = dict(self.mults)
-        for w, m in other.mults.items():
-            m += out.get(w, 0)
-            if m:
-                out[w] = m
-            else:
-                del out[w]
-        return Character(self.datum, out)
+        return Character(self.datum, _sum(self.mults, other.mults))
 
     def __neg__(self):
         return Character(self.datum, {w: -m for w, m in self.mults.items()})
@@ -323,9 +321,10 @@ class FormalCharacter:
     """Window truncation of an element of the character completion.
 
     Multiplicities of irreducibles are exact for every dominant weight
-    of sup-norm <= window and unspecified outside.  Construction checks
-    every key and multiplicity; results the engine builds from keys it
-    has already cut to the window skip those checks (_trusted).
+    of sup-norm <= window and unspecified outside; its sum and product
+    (formal_multiply) are Character's, cut to the window.  Construction
+    checks every key and multiplicity; results the engine builds from
+    keys it has already cut to the window skip those checks (_trusted).
     """
 
     datum: RootDatum
@@ -373,23 +372,16 @@ class FormalCharacter:
         return FormalCharacter._trusted(self.datum, window, kept)
 
     def agrees_with(self, other: "FormalCharacter") -> bool:
-        """Equality of multiplicities over the shared window, key by stored key."""
-        if self.datum != other.datum:
-            return False
-        b = min(self.window, other.window)
-        keys = {w for w in (*self.coeffs, *other.coeffs) if sup_norm(w) <= b}
-        return all(self.coeffs.get(w, 0) == other.coeffs.get(w, 0) for w in keys)
+        """Equality of multiplicities over the shared window: the difference is 0 there."""
+        return self.datum == other.datum and not (self - other).coeffs
 
     def __add__(self, other):
         if self.datum != other.datum:
             raise ValueError("datum mismatch")
         b = min(self.window, other.window)
-        out = {}
-        for w in sorted({w for w in (*self.coeffs, *other.coeffs) if sup_norm(w) <= b}):
-            m = self.coeffs.get(w, 0) + other.coeffs.get(w, 0)
-            if m:
-                out[w] = m
-        return FormalCharacter._trusted(self.datum, b, out)
+        total = _sum(self.coeffs, other.coeffs)
+        kept = {w: total[w] for w in sorted(total) if sup_norm(w) <= b}
+        return FormalCharacter._trusted(self.datum, b, kept)
 
     def __neg__(self):
         return FormalCharacter._trusted(self.datum, self.window,
@@ -422,9 +414,11 @@ class FormalCharacter:
 def formal_multiply(f: FormalCharacter, c: Character) -> FormalCharacter:
     """Multiply a window-truncated character by a finite virtual character.
 
-    The result window shrinks by the sup-norm bound of the finite
-    factor's full weight system, which is exactly the margin needed for
-    every contributing term of f to lie inside f's window.  Raises
+    The product is char_product's, cut to the shrunken window (decompose
+    is linear, so the product of sums is the sum of pairwise products).
+    The window shrinks by the sup-norm bound of the finite factor's full
+    weight system, which is exactly the margin needed for every
+    contributing term of f to lie inside f's window.  Raises
     WindowExhausted when the shrunken window is empty (negative).
     """
     if f.datum != c.datum:
@@ -433,12 +427,4 @@ def formal_multiply(f: FormalCharacter, c: Character) -> FormalCharacter:
     window = f.window - margin
     if window < 0:
         raise WindowExhausted(f"window {f.window} cannot absorb margin {margin}")
-    datum = f.datum
-    out = {}
-    for lam, a in f.coeffs.items():
-        for mu, b in c.mults.items():
-            prod = weyl_character(datum, lam) * weyl_character(datum, mu)
-            for nu, m in decompose(datum, prod).mults.items():
-                if sup_norm(nu) <= window:
-                    out[nu] = out.get(nu, 0) + a * b * m
-    return FormalCharacter(datum, window, out)
+    return FormalCharacter.from_character(char_product(Character(f.datum, f.coeffs), c), window)

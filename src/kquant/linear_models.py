@@ -17,15 +17,17 @@ Two independent routes compute the same invariant:
   with the packed normals of the maximal walls decides regularity and,
   through the normals that support the cone of the weights, most zero
   counts; functionals for the group the weights generate decide most
-  others.  The rest are counted together as columns, in one list pass
-  per loop level and coefficient and the last level in closed form (a
-  simplicial cone needs none).  Its per-model setup (Farkas vector, a
-  greedy basis of the weights' span with the integer rows that make each
-  search leaf one divisibility and sign test, from one elimination; the
-  packed normals; the group functionals) is built on the first call for
-  a model and kept on it; it reads only the weights, the shift and the
-  Farkas vector, and shares no cache with the series route.  The same
-  setup counts a whole window in one pass.  The separation result
+  others (and regularity, when the weights' span is the one wall).  The
+  rest are counted together as columns, in one list pass per loop level
+  and coefficient and the last level in closed form (a simplicial cone
+  needs none).  Its per-model setup (Farkas vector, a greedy basis of
+  the weights' span with the integer rows that make each search leaf one
+  divisibility and sign test, from one elimination; the oriented wall
+  normals; the group functionals) is built on the first call for a model
+  and kept on it, unchanged: each pass packs the normals for its own
+  box.  It reads only the weights, the shift and the Farkas vector, and
+  shares no cache with the series route.  The same setup counts a whole
+  window in one pass.  The separation result
   behind check_proper and farkas_vector is kept on the model too, so it
   dies with the model.
 
@@ -210,15 +212,6 @@ def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:
     return out if window >= 1 else out.restrict(window)
 
 
-def _wall_normals(weights, rank):
-    """Integer normal systems of the maximal walls spanned by < rank weights.
-
-    The hyperplanes spanned by rank - 1 weights, one normal each, or else
-    the weights' span alone: every other wall lies inside one of these.
-    """
-    return [(n,) for n in hyperplanes(weights, rank)] or [tuple(nullspace(weights, rank))]
-
-
 def _box_sums(v, base, axes):
     """[base + <v, gamma> for gamma in product(*axes)], summed axis by axis."""
     out = [base]
@@ -238,19 +231,20 @@ class ReductionCount(NamedTuple):
 class _LatticeCounter:
     """Per-model setup of the counting route; see reduction_multiplicity.
 
-    Walls and cone.  The normal n of each one-normal maximal wall is
-    oriented, where possible, so that every weight pairs >= 0 with it;
-    such a supporting normal bounds the cone of the weights, so a target
-    gamma - c pairing < 0 with it has count 0.  The normals are packed
-    as digit columns: field f (lowest bit p, top bit q) of
-    sum(packed * gamma) + const is <n_f, gamma - c> + 2^q.  So gamma is
-    on a one-normal wall iff some field of that sum ^ half is zero (the
-    zero-digit bit test, with `ones` the lowest bits), and outside the
-    cone iff a supporting field lacks its top bit (`cone`).  Widths come
-    from the normals, the shift and `reach`, the largest |gamma_t| they
-    hold; a wider gamma re-packs from the weights.  When no rank - 1
-    weights span a hyperplane, the one wall is the weights' span, whose
-    several normals (`thick`) are tested directly.
+    Walls and cone.  `walls` holds one flat tuple (*n, <n, c>, supporting)
+    (flat, as a model keeps its counter) per normal n of a hyperplane
+    spanned by rank - 1 weights, oriented, where possible, so that every
+    weight pairs >= 0 with it; such a supporting normal bounds the cone
+    of the weights, so a target gamma - c pairing < 0 with it has count
+    0.  Each pass packs the normals as digit columns wide enough for its
+    own box: field f (lowest bit p, top bit q) of sum(packed * gamma) +
+    const is <n_f, gamma - c> + 2^q.  So gamma is on a wall iff some
+    field of that sum ^ half is zero (the zero-digit bit test, with
+    `ones` the lowest bits), and outside the cone iff a supporting field
+    lacks its top bit (`cone`).  With no such hyperplane the one wall is
+    the weights' span: gamma is regular iff a span row of `lattice`
+    (modulus 0) is nonzero on gamma - c, read off the pass's lattice
+    columns.  No slot changes after __init__.
 
     Lattice.  A nonzero count needs gamma - c in the group the weights
     generate; `lattice` holds the functionals that decide it (see
@@ -260,10 +254,10 @@ class _LatticeCounter:
     with no Cramer rows.
 
     Window.  window(w) counts the whole box [-w, w]^rank in one pass and
-    count(gamma) one point, through the same _counts: it packs for the
-    reach, builds the packed, thick-wall and lattice pairings of every
-    point by incremental sums along the axes (_box_sums), and counts only
-    the targets inside the cone that pass the lattice test (_tally).  It
+    count(gamma) one point, through the same _counts: it packs the walls
+    for its box, builds the packed and lattice pairings of every point by
+    incremental sums along the axes (_box_sums), and counts only the
+    targets inside the cone that pass the lattice test (_tally).  It
     returns two columns: a regular flag per point and a dict of the
     nonzero counts only, so a zero count costs no object.
 
@@ -283,12 +277,10 @@ class _LatticeCounter:
     read off `kit` (_exact.residue_kit) and counted in closed form.
     """
 
-    __slots__ = ("weights", "shift", "xi", "det", "leaf", "steps",
-                 "kit", "lattice", "reach", "packed", "const", "half",
-                 "ones", "cone", "thick")
+    __slots__ = ("shift", "xi", "det", "leaf", "steps", "kit", "lattice", "walls")
 
     def __init__(self, m: LinearModel):
-        self.weights, self.shift = m.weights, m.shift
+        self.shift = c0 = m.shift
         self.xi = xi = farkas_vector(m)
         ws = sorted(m.weights, key=lambda w: dot(w, xi))
         basis, self.det, self.leaf = cramer_kit(ws, m.rank)
@@ -297,58 +289,49 @@ class _LatticeCounter:
                            for w in looped)
         self.kit = residue_kit(self.steps[-1][0] if self.steps else (), self.det)
         self.lattice = lattice_tests(m.weights, m.rank)
-        self.reach = -1  # nothing packed yet
-
-    def _pack(self, reach):
-        """Pack the one-normal walls for every gamma with |gamma_t| <= reach."""
-        ws, c0 = self.weights, self.shift
-        packed, const, half, ones, cone, thick, p = [0] * len(c0), 0, 0, 0, 0, [], 0
-        for wall in _wall_normals(ws, len(c0)):
-            if len(wall) > 1:
-                thick.append(tuple((n, dot(n, c0)) for n in wall))
-                continue
-            n = neg(wall[0]) if all(dot(w, wall[0]) <= 0 for w in ws) else wall[0]
-            c = dot(n, c0)
-            top = 1 << p + (sum(map(abs, n)) * reach + abs(c)).bit_length()
-            packed = [x + (v << p) for x, v in zip(packed, n)]
-            const += top - (c << p)
-            half += top
-            ones += 1 << p
-            if all(dot(w, n) >= 0 for w in ws):
-                cone += top
-            p = top.bit_length()
-        self.packed, self.const, self.half, self.ones = tuple(packed), const, half, ones
-        self.cone, self.thick, self.reach = cone, tuple(thick), reach
+        normals = [neg(n) if all(dot(w, n) <= 0 for w in m.weights) else n
+                   for n in hyperplanes(m.weights, m.rank)]
+        self.walls = tuple((*n, dot(n, c0), all(dot(w, n) >= 0 for w in m.weights))
+                           for n in normals)
 
     def count(self, gamma) -> ReductionCount:
-        (regular,), counts = self._counts([(g,) for g in gamma], max(map(abs, gamma)))
+        (regular,), counts = self._counts([(g,) for g in gamma])
         return ReductionCount(counts.get(gamma, 0), regular)
 
     def window(self, w):
         """(regular, counts) on [-w, w]^rank; see _counts."""
-        return self._counts([range(-w, w + 1)] * len(self.shift), w)
+        return self._counts([range(-w, w + 1)] * len(self.shift))
 
-    def _counts(self, axes, reach):
-        """(regular, counts) on product(*axes), all |gamma_t| <= reach.
+    def _counts(self, axes):
+        """(regular, counts) on product(*axes).
 
         regular holds one flag per point, in product order (for a window,
         dominant_window order); counts maps each gamma with a nonzero
         count to that count and holds no other key.
         """
-        if self.reach < reach:
-            self._pack(reach)
-        half, ones, cone, c0 = self.half, self.ones, self.cone, self.shift
-        ds = _box_sums(self.packed, self.const, axes)
-        regular = [not ((e := d ^ half) - ones) & ~e & half for d in ds]
-        for wall in self.thick:
-            regular = [r and any(z) for r, *z in
-                       zip(regular, *(_box_sums(n, -c, axes) for n, c in wall))]
+        c0, big = self.shift, max((abs(g) for axis in axes for g in axis), default=0)
+        packed, const, half, ones, cone, p = [0] * len(c0), 0, 0, 0, 0, 0
+        for *n, c, supporting in self.walls:
+            top = 1 << p + (sum(map(abs, n)) * big + abs(c)).bit_length()
+            packed = [x + (v << p) for x, v in zip(packed, n)]
+            const += top - (c << p)
+            half += top
+            ones += 1 << p
+            if supporting:
+                cone += top
+            p = top.bit_length()
+        ds = _box_sums(packed, const, axes)
         inside = [d & cone == cone for d in ds]
+        span = []  # the span rows' columns, when the span is the one wall
         for n, m in self.lattice:
-            inside = [a and not (v % m if m else v)
-                      for a, v in zip(inside, _box_sums(n, -dot(n, c0), axes))]
+            vs = _box_sums(n, -dot(n, c0), axes)
+            inside = [a and not (v % m if m else v) for a, v in zip(inside, vs)]
+            if not (m or self.walls):
+                span.append(vs)
+        regular = ([any(z) for z in zip(*span)] if span else
+                   [not ((e := d ^ half) - ones) & ~e & half for d in ds])
         gammas = list(itertools.compress(itertools.product(*axes), inside))
-        del ds, inside  # box-sized, freed so they add nothing to the count's peak memory
+        del ds, inside, span  # box-sized, freed so they add nothing to the count's peak memory
         return regular, {g: n for g, n in zip(gammas, self._tally(gammas)) if n}
 
     def _tally(self, gammas) -> list:
@@ -464,21 +447,23 @@ def _column_table(m: LinearModel) -> list:
     once per model.  Rows are (cols, nonzero, holds, mu) for the solutions
     with det g > 0 and x >= 0: nonzero the columns with x > 0, holds the
     j with <w_j, g * mu> = 0 on the integer g * mu = g * c + sum gx_j w_j,
-    and mu its one Fraction vector.
+    and mu its one Fraction vector, interned: rows with equal mu share one
+    tuple, so comparing them stops at identity.
     """
     ws, c0 = m.weights, m.shift
     gram = [[dot(u, v) for v in ws] for u in ws]
     rhs = [-dot(u, c0) for u in ws]
-    table = []
+    table, mus = [], {}
     for size in range(min(len(ws), m.rank) + 1):
         for cols in itertools.combinations(range(len(ws)), size):
             g, gx = solve([[gram[i][c] for c in cols] for i in cols], [rhs[i] for i in cols])
             if g and min(gx, default=0) >= 0:
                 gmu = [g * c + sum(x * ws[j][t] for j, x in zip(cols, gx))
                        for t, c in enumerate(c0)]
+                mu = tuple(Fraction(x, g) for x in gmu)
                 table.append((frozenset(cols), frozenset(j for j, x in zip(cols, gx) if x),
                               frozenset(j for j, w in enumerate(ws) if not dot(w, gmu)),
-                              tuple(Fraction(x, g) for x in gmu)))
+                              mus.setdefault(mu, mu)))
     return table
 
 
@@ -512,10 +497,10 @@ def _vanishing_components(m: LinearModel) -> tuple:
             rows = [(nonzero, mu) for cols, nonzero, holds, mu in table if cols <= s <= holds]
             if not rows or set().union(*(n for n, _ in rows)) != s:
                 continue  # no point with support exactly this set
-            mus = {mu for _, mu in rows}
-            if len(mus) != 1:
+            mu = rows[0][1]
+            if any(other != mu for _, other in rows):
                 raise CertificateFailed(f"vertices of stratum {support} disagree on mu")
-            groups.setdefault(mus.pop(), []).append(support)
+            groups.setdefault(mu, []).append(support)
     out = []
     for mu, strata in groups.items():
         union = tuple(sorted(set().union(*strata)))

@@ -285,6 +285,29 @@ def random_virtual_character(rng, datum, top):
     return total
 
 
+def pairwise_formal_multiply(f, c):
+    """Reference product of a formal character and a finite character, pair by pair.
+
+    One weyl_character product and one decompose per pair (lam, mu) of a
+    term of f and a constituent of c, kept inside the shrunken window; the
+    datum check and the margin come first, as in formal_multiply.
+    """
+    if f.datum != c.datum:
+        raise ValueError("datum mismatch")
+    margin = c.weight_system_bound()
+    window = f.window - margin
+    if window < 0:
+        raise kq.WindowExhausted(f"window {f.window} cannot absorb margin {margin}")
+    out = {}
+    for lam, a in f.coeffs.items():
+        for mu, b in c.mults.items():
+            prod = kq.weyl_character(f.datum, lam) * kq.weyl_character(f.datum, mu)
+            for nu, m in kq.decompose(f.datum, prod).mults.items():
+                if max(map(abs, nu)) <= window:
+                    out[nu] = out.get(nu, 0) + a * b * m
+    return kq.FormalCharacter(f.datum, window, out)
+
+
 def maximal_wall_normals(weights, rank):
     """Reference walls: the normal systems of every rank - 1 distinct weights.
 

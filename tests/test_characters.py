@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import kquant as kq
 from kquant.characters import exact_divide
-from helpers import (A1, A2, A3, T1, T2, random_formal_character, random_torus_component,
-                     random_virtual_character, rescan_exact_divide, strip_loop_decompose)
+from helpers import (A1, A2, A3, T1, T2, pairwise_formal_multiply, random_formal_character,
+                     random_torus_component, random_virtual_character, rescan_exact_divide,
+                     strip_loop_decompose)
 
 WP = kq.WeightPolynomial
 A4 = kq.build_root_datum("A", 4)
@@ -211,6 +212,38 @@ def test_formal_multiply_shrinks_window():
     out = kq.formal_multiply(fc, fin)
     assert out.window == 0
     assert out.mult((0,)) == 0
+
+
+def _product_or_error(multiply, f, c):
+    try:
+        return multiply(f, c)
+    except (ValueError, kq.WindowExhausted) as exc:
+        return type(exc), str(exc)
+
+
+def test_formal_multiply_matches_the_pairwise_products():
+    rng = random.Random(71)
+    cases = []
+    for datum in (T1, T2, A1, A2):
+        lo = -2 if datum.is_torus else 0
+        for _ in range(25):
+            f = random_formal_character(rng, datum, rng.randint(0, 6))
+            c = kq.Character(datum, {tuple(rng.randint(lo, 2) for _ in range(datum.rank)):
+                                     rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 3))})
+            cases.append((f, c))
+    # (0, 0) cancels: 1 * t^0 from t^(2,0) * t^(-2,0), -1 from t^0 * -t^0
+    cancel = (kq.FormalCharacter(T2, 3, {(2, 0): 1, (0, 0): 1}),
+              kq.Character(T2, {(-2, 0): 1, (0, 0): -1}))
+    assert kq.formal_multiply(*cancel).coeffs == {}
+    cases += [cancel,
+              (kq.FormalCharacter(T1, 4, {(1,): 1}), kq.Character(T2, {(9, 9): 1})),
+              (kq.FormalCharacter(A1, 1, {(1,): 1}), kq.Character(A1, {(3,): 1}))]
+    kinds = set()
+    for f, c in cases:
+        got = _product_or_error(kq.formal_multiply, f, c)
+        assert got == _product_or_error(pairwise_formal_multiply, f, c), (f, c)
+        kinds.add(got[0] if isinstance(got, tuple) else bool(got.coeffs))
+    assert kinds == {True, False, ValueError, kq.WindowExhausted}
 
 
 def _box_walk(a, b):

@@ -283,9 +283,10 @@ def test_regular_flag_on_degenerate_models():
 
 
 def test_regular_columns_match_every_maximal_wall():
-    # the counter packs the hyperplanes spanned by rank - 1 weights, or the
-    # weights' span when there are none; the reference tests every wall of
-    # rank - 1 distinct weights, the thick walls of dependent subsets too
+    # the counter packs the hyperplanes spanned by rank - 1 weights, or reads
+    # the weights' span off its lattice rows when there are none ("thick
+    # only"); the reference tests every wall of rank - 1 distinct weights,
+    # the thick walls of dependent subsets too
     rng = random.Random(61)
     models = [random_proper_model(rng, max_d=6, max_r=4, entry=2, r=1 + i % 4)
               for i in range(40)]
@@ -299,6 +300,7 @@ def test_regular_columns_match_every_maximal_wall():
         sizes = {len(wall) > 1 for wall in walls}
         kinds.add("redundant thick" if sizes == {True, False} else
                   "thick only" if sizes == {True} else "hyperplanes only")
+        assert (not m._counter.walls) == (sizes == {True}), m.to_dict()
         for window in range(4 if m.rank < 4 else 3):
             box = kq.dominant_window(m.datum, window)
             regular, _ = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
@@ -306,6 +308,26 @@ def test_regular_columns_match_every_maximal_wall():
                                        for n in wall) for wall in walls)
                                for gamma in box], (m.to_dict(), window)
     assert kinds == {"redundant thick", "thick only", "hyperplanes only"}
+
+
+def test_counter_state_is_fixed_at_construction():
+    # count and window pack their own fields and leave every slot as
+    # __init__ set it.  The huge targets lie outside the cone (their Farkas
+    # budget is negative): one inside would loop over its whole budget.
+    rng = random.Random(67)
+    models = [random_proper_model(rng, max_d=5, max_r=3, entry=2) for _ in range(12)]
+    models += [kq.linear_model(w, c) for w, c in _DEGENERATE]
+    for m in models:
+        ctr = m._counter
+        slots = {name: getattr(ctr, name) for name in type(ctr).__slots__}
+        huge = [tuple(c - 10**30 * x + k for c, x in zip(m.shift, ctr.xi)) for k in range(3)]
+        small = [kq.reduction_multiplicity(m, g) for g in kq.dominant_window(m.datum, 1)]
+        assert [kq.reduction_multiplicity(m, g).count for g in huge] == [0, 0, 0]
+        for window in range(4):
+            fresh = kq.LinearModel.from_dict(m.to_dict())._counter
+            assert ctr.window(window) == fresh.window(window), (m.to_dict(), window)
+        assert all(getattr(ctr, name) is v for name, v in slots.items()), m.to_dict()
+        assert small == [kq.reduction_multiplicity(m, g) for g in kq.dominant_window(m.datum, 1)]
 
 
 def test_window_pass_matches_single_weight_counts():
