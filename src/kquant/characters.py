@@ -27,6 +27,20 @@ from .root_data import (RootDatum, add, as_int, as_weight, is_dominant, neg,
                         signed_orbit_with_images, simple_reflection, sub, sup_norm)
 
 
+def _checked(terms, key) -> dict:
+    """{key(w): c} of a mapping or (w, c) pairs: each c goes through
+    as_int, repeated keys add, and zeros are dropped."""
+    out = {}
+    for w, c in (terms.items() if hasattr(terms, "items") else terms):
+        w = key(w)
+        c = as_int(c) + out.get(w, 0)
+        if c:
+            out[w] = c
+        else:
+            out.pop(w, None)
+    return out
+
+
 def _sum(a: dict, b: dict) -> dict:
     """The sparse sum of two maps to nonzero ints: keys that cancel are dropped."""
     out = dict(a)
@@ -50,19 +64,7 @@ class WeightPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for w, c in items:
-            w = as_weight(w)
-            c = as_int(c)
-            if not c:
-                continue
-            c += acc.get(w, 0)
-            if c:
-                acc[w] = c
-            else:
-                acc.pop(w, None)
-        self.terms = acc
+        self.terms = _checked(terms, as_weight)
 
     @staticmethod
     def monomial(w, c=1) -> "WeightPolynomial":
@@ -199,13 +201,11 @@ def weyl_character(datum: RootDatum, lam) -> WeightPolynomial:
     The alternant sum_w det(w) t^{w(lam+rho)} over the Weyl denominator
     sum_w det(w) t^{w rho} = t^rho prod_{alpha > 0} (1 - t^{-alpha}):
     shifted by -rho, the alternant is divided by one binomial per
-    positive root.  For a torus the character is the single monomial t^lam.
+    positive root; a torus has none, so its character is t^lam.
     """
     lam = datum.check_weight(lam)
     if not is_dominant(datum, lam):
         raise NotDominant(f"{lam} is not dominant for {datum}")
-    if datum.is_torus:
-        return WeightPolynomial.monomial(lam)
     rho = datum.rho
     out = WeightPolynomial((sub(img, rho), s)
                            for img, s, _ in signed_orbit_with_images(datum, add(lam, rho)))
@@ -217,7 +217,7 @@ def weyl_character(datum: RootDatum, lam) -> WeightPolynomial:
 
 def _check_invariant(datum: RootDatum, p: WeightPolynomial):
     """NotInvariant unless every simple reflection maps each term onto an equal one."""
-    for i in range(datum.rank if not datum.is_torus else 0):
+    for i in range(len(datum.simple_roots)):
         if any(p.terms.get(simple_reflection(datum, i, w)) != c for w, c in p.terms.items()):
             raise NotInvariant(f"polynomial is not invariant under reflection {i}")
 
@@ -228,22 +228,24 @@ def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
     By the Weyl character formula p * A_rho = sum_lam m_lam A_{lam+rho},
     where A_x = sum_w det(w) t^{w x} is the alternant.  For invariant p
     the left side is sum_nu c_nu A_{nu+rho}, so each term c_nu t^nu is
-    read on its own: reflecting nu + rho at a negative coordinate, with
-    a sign change each time, reaches the dominant chamber; a strictly
-    dominant end point lam + rho adds the signed c_nu to m_lam, and one
-    on a wall adds nothing.  A torus character is its own decomposition.
-    Raises NotInvariant when the input is not a virtual character.
+    read on its own: reflecting nu + rho at its first most negative
+    simple coordinate, with a sign change each time, reaches the dominant
+    chamber; a strictly dominant end point lam + rho adds the signed c_nu
+    to m_lam, and one on a wall adds nothing.  A torus has no simple
+    coordinates, so its character is its own decomposition.  Raises
+    NotInvariant when the input is not a virtual character.
     """
     _check_invariant(datum, p)
-    if datum.is_torus:
-        return Character(datum, p.terms)
+    n = len(datum.simple_roots)
     mults = {}
     for nu, c in p.terms.items():
         x = add(nu, datum.rho)
-        while min(x) < 0:
-            x = simple_reflection(datum, x.index(min(x)), x)
+        low = min(x[:n], default=1)
+        while low < 0:
+            x = simple_reflection(datum, x.index(low), x)
             c = -c
-        if min(x) > 0:
+            low = min(x[:n], default=1)
+        if low > 0:
             lam = sub(x, datum.rho)
             mults[lam] = mults.get(lam, 0) + c
     return Character(datum, mults)
@@ -257,16 +259,13 @@ class Character:
     mults: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        torus = self.datum.is_torus
-        clean = {}
-        for w, m in dict(self.mults).items():
-            w = self.datum.check_weight(w)
-            if not torus and min(w) < 0:
-                raise NotDominant(f"character key {w} is not dominant")
-            m = as_int(m)
-            if m:
-                clean[w] = m
-        self.mults = clean
+        self.mults = _checked(self.mults, self._key)
+
+    def _key(self, w):
+        w = self.datum.check_weight(w)
+        if not is_dominant(self.datum, w):
+            raise NotDominant(f"character key {w} is not dominant")
+        return w
 
     def mult(self, w) -> int:
         return self.mults.get(as_weight(w), 0)
@@ -306,7 +305,7 @@ class Character:
 
     @staticmethod
     def from_list(datum: RootDatum, rows) -> "Character":
-        return Character(datum, {as_weight(r["weight"]): as_int(r["mult"]) for r in rows})
+        return Character(datum, [(r["weight"], r["mult"]) for r in rows])
 
 
 def char_product(a: Character, b: Character) -> Character:
@@ -335,18 +334,15 @@ class FormalCharacter:
         self.window = as_int(self.window)
         if self.window < 0:
             raise WindowExhausted(f"window {self.window} is empty")
-        torus = self.datum.is_torus
-        clean = {}
-        for w, m in dict(self.coeffs).items():
-            w = self.datum.check_weight(w)
-            if not torus and min(w) < 0:
-                raise NotDominant(f"formal character key {w} is not dominant")
-            if sup_norm(w) > self.window:
-                raise WindowExhausted(f"key {w} outside window {self.window}")
-            m = as_int(m)
-            if m:
-                clean[w] = m
-        self.coeffs = clean
+        self.coeffs = _checked(self.coeffs, self._key)
+
+    def _key(self, w):
+        w = self.datum.check_weight(w)
+        if not is_dominant(self.datum, w):
+            raise NotDominant(f"formal character key {w} is not dominant")
+        if sup_norm(w) > self.window:
+            raise WindowExhausted(f"key {w} outside window {self.window}")
+        return w
 
     @staticmethod
     def _trusted(datum: RootDatum, window: int, coeffs: dict) -> "FormalCharacter":
@@ -407,8 +403,8 @@ class FormalCharacter:
 
     @staticmethod
     def from_dict(datum: RootDatum, d: dict) -> "FormalCharacter":
-        coeffs = {as_weight(r["weight"]): as_int(r["mult"]) for r in d.get("terms", [])}
-        return FormalCharacter(datum, as_int(d["window"]), coeffs)
+        return FormalCharacter(datum, as_int(d["window"]),
+                               [(r["weight"], r["mult"]) for r in d.get("terms", [])])
 
 
 def formal_multiply(f: FormalCharacter, c: Character) -> FormalCharacter:

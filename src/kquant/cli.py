@@ -68,6 +68,16 @@ def _terms_table(rows, head=()):
 
 
 # ----------------------------------------------------------------- verbs
+# each returns (status, json_view, table_view); main builds only the view
+# it prints
+
+def _window_views(fc):
+    """The JSON and table views of a window-truncated character."""
+    def table():
+        d = fc.to_dict()
+        return _terms_table(d["terms"], head=[("window", d["window"])])
+    return fc.to_dict, table
+
 
 def _run_index(args):
     k = DiscreteKCycle.from_dict(_load(args.input))
@@ -75,12 +85,9 @@ def _run_index(args):
         if args.polarization is not None:
             raise CLIError("index takes --polarization only with --window")
         terms = closed_sum(k).to_list()
-        out = {"terms": terms}
-        return 0, out, _terms_table(terms)
+        return 0, lambda: {"terms": terms}, lambda: _terms_table(terms)
     xi = args.polarization or auto_polarization(k)
-    fc = polarized_index(k, xi, args.window)
-    d = fc.to_dict()
-    return 0, d, _terms_table(d["terms"], head=[("window", d["window"])])
+    return (0, *_window_views(polarized_index(k, xi, args.window)))
 
 
 def _run_quantize(args):
@@ -91,8 +98,7 @@ def _run_quantize(args):
     else:
         farkas_vector(m)  # NotProper regardless of the chosen direction
         fc = polarized_index(model_cycle(m), args.polarization, window)
-    d = fc.to_dict()
-    return 0, d, _terms_table(d["terms"], head=[("window", d["window"])])
+    return (0, *_window_views(fc))
 
 
 def _run_reduce(args):
@@ -100,17 +106,16 @@ def _run_reduce(args):
     if args.gamma is None:
         raise CLIError("reduce requires --gamma")
     count, regular = reduction_multiplicity(m, args.gamma)
-    out = {"gamma": list(args.gamma), "count": count, "regular": regular}
-    table = (f"gamma\t{list(args.gamma)}\ncount\t{count}"
-             f"\nregular\t{str(regular).lower()}")
-    return 0, out, table
+    return (0, lambda: {"gamma": list(args.gamma), "count": count, "regular": regular},
+            lambda: (f"gamma\t{list(args.gamma)}\ncount\t{count}"
+                     f"\nregular\t{str(regular).lower()}"))
 
 
 def _run_verify_qr(args):
     m = LinearModel.from_dict(_load(args.input))
     window = 6 if args.window is None else args.window
     report = verify_qr(m, window)
-    return (0 if report.verdict else 2), report.to_dict(), report.table()
+    return (0 if report.verdict else 2), report.to_dict, report.table
 
 
 def _parse_group(text):
@@ -130,13 +135,10 @@ def _run_orbit(args):
     oc = orbit_cycle(datum, args.gamma)
     poly = closed_index(oc.component, datum)
     dec = decompose(datum, poly)
-    out = {"cycle": oc.cycle().to_dict(),
-           "closed_character": poly.to_list(),
-           "decomposition": dec.to_list()}
-    table = "\n".join([
-        "closed character", _terms_table(out["closed_character"]),
-        "decomposition", _terms_table(out["decomposition"])])
-    return 0, out, table
+    return (0, lambda: {"cycle": oc.cycle().to_dict(), "closed_character": poly.to_list(),
+                        "decomposition": dec.to_list()},
+            lambda: "\n".join(["closed character", _terms_table(poly.to_list()),
+                               "decomposition", _terms_table(dec.to_list())]))
 
 
 def _require(req: dict, *keys):
@@ -158,12 +160,12 @@ def _run_moves(args):
         a = DiscreteKCycle.from_dict(req["a"])
         b = DiscreteKCycle.from_dict(req["b"])
         out, cert = certify_disjoint_union(a, b, window, xi)
-        result = out.to_dict()
+        result = out.to_dict
     elif name == "disk_decomposition":
         _require(req, "sign", "truncation")
         out, cert = certify_disk_decomposition(
             as_int(req["sign"]), as_int(req["truncation"]), window, xi)
-        result = out.to_dict()
+        result = out.to_dict
     elif name == "glue_split":
         _require(req, "cycle", "blocks")
         k = DiscreteKCycle.from_dict(req["cycle"])
@@ -174,19 +176,19 @@ def _run_moves(args):
         _, comp = k.components[index]
         blocks = [list(map(as_int, b)) for b in req["blocks"]]
         pieces, cert = certify_glue_split(comp, blocks, k.datum, window, xi)
-        result = [p.to_dict() for p in pieces]
+        result = lambda: [p.to_dict() for p in pieces]
     elif name == "bundle_modification":
         _require(req, "cycle", "fiber")
         k = DiscreteKCycle.from_dict(req["cycle"])
         _, fiber = ClosedComponent.from_dict(req["fiber"])
         out, cert = bundle_modification(k, fiber, window, xi)
-        result = out.to_dict()
+        result = out.to_dict
     elif name == "product":
         _require(req, "a", "b")
         a = DiscreteKCycle.from_dict(req["a"])
         b = DiscreteKCycle.from_dict(req["b"])
         out, cert = certify_product(a, b, window, xi)
-        result = out.to_dict()
+        result = out.to_dict
     elif name == "compare":
         _require(req, "a", "b")
         a = DiscreteKCycle.from_dict(req["a"])
@@ -194,23 +196,23 @@ def _run_moves(args):
         cert = compare_cycles(a, b, window, xi)
     else:
         raise CLIError(f"unknown move {name!r}")
-    out = {"move": name, "certificate": cert.to_dict()}
-    if result is not None:
-        out["result"] = result
-    table = (f"move\t{name}\nwindow\t{cert.window}"
-             f"\nverdict\t{str(cert.verdict).lower()}")
-    return (0 if cert.verdict else 2), out, table
+
+    def obj():
+        out = {"move": name, "certificate": cert.to_dict()}
+        if result is not None:
+            out["result"] = result()
+        return out
+    return (0 if cert.verdict else 2), obj, lambda: (
+        f"move\t{name}\nwindow\t{cert.window}\nverdict\t{str(cert.verdict).lower()}")
 
 
 def _run_vanishing(args):
     m = LinearModel.from_dict(_load(args.input))
     comps = vanishing_decomposition(m)
-    out = {"components": [c.to_dict() for c in comps]}
-    lines = ["support\tmu_value\tcompact\tmu_diameter"]
-    for c in comps:
-        lines.append(f"{list(c.support)}\t{[str(x) for x in c.mu_value]}"
-                     f"\t{str(c.compact).lower()}\t{c.mu_diameter}")
-    return 0, out, "\n".join(lines)
+    return 0, lambda: {"components": [c.to_dict() for c in comps]}, lambda: "\n".join(
+        ["support\tmu_value\tcompact\tmu_diameter"]
+        + [f"{list(c.support)}\t{[str(x) for x in c.mu_value]}"
+           f"\t{str(c.compact).lower()}\t{c.mu_diameter}" for c in comps])
 
 
 _HANDLERS = {
@@ -269,6 +271,7 @@ def main(argv=None) -> int:
         if getattr(args, "gamma", None) is not None:
             args.gamma = _parse_int_vector(args.gamma)
         status, obj, table = _HANDLERS[args.verb](args)
+        text = table() if args.output_format == "table" else _dump(obj())
     except CLIError as exc:
         print(_dump({"error": "ParseError", "detail": str(exc)}))
         return 1
@@ -280,7 +283,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(_dump({"error": "ParseError", "detail": str(exc)}))
         return 1
-    print(table if args.output_format == "table" else _dump(obj))
+    print(text)
     return status
 
 

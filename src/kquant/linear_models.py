@@ -81,6 +81,7 @@ class LinearModel:
     shift: tuple
 
     def __post_init__(self):
+        # C^d under a torus: the lattice count reads the torus lattice
         if not self.datum.is_torus:
             raise ValueError("linear models are defined over torus data")
         ws = tuple(self.datum.check_weight(w) for w in self.weights)
@@ -205,11 +206,9 @@ def model_cycle(m: LinearModel) -> DiscreteKCycle:
 
 def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:
     """Window-exact polarized expansion of t^c prod (1 - t^{w_j})^{-1}."""
-    if window < 0:
+    if window < 0:  # checked before farkas_vector, so it comes before NotProper
         raise WindowExhausted(f"window {window} is empty")
-    xi = farkas_vector(m)
-    out = polarized_index(model_cycle(m), xi, max(window, 1))
-    return out if window >= 1 else out.restrict(window)
+    return polarized_index(model_cycle(m), farkas_vector(m), window)
 
 
 def _box_sums(v, base, axes):

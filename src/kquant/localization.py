@@ -302,13 +302,13 @@ def auto_polarization(*cycles: DiscreteKCycle) -> tuple:
 
 
 def _extraction_points(datum: RootDatum, window: int):
-    """Extraction plan of a type A window.
+    """Extraction plan of a window.
 
     Maps each dominant window weight lam to a list of (point, sign) pairs
     such that the irreducible multiplicity of lam is sum of sign *
     coefficient(point): the alternating sum over w(lam+rho)-rho, which
-    inverts the character formula.  A torus needs no plan; its window is
-    the box itself.
+    inverts the character formula.  A torus plan maps each box point to
+    itself, so polarized_index reads a torus window off the box instead.
     """
     return {lam: [(sub(img, datum.rho), sgn)
                   for img, sgn, _ in signed_orbit_with_images(datum, add(lam, datum.rho))]
@@ -497,15 +497,15 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
     largest pairing of a box point (torus) or of a plan point (type A).
     """
     window = as_int(window)
-    if window <= 0:
-        raise WindowExhausted(f"window must be >= 1, got {window}")
+    if window < 0:
+        raise WindowExhausted(f"window must be >= 0, got {window}")
     if xi is None:
         xi = auto_polarization(k)
     xi = normalize_polarization(xi)
     if len(xi) != k.datum.rank:
         raise ValueError(f"polarization rank {len(xi)} != datum rank {k.datum.rank}")
     datum = k.datum
-    if datum.is_torus:
+    if datum.is_torus:  # its plan would list each box point as a one-point orbit
         box = window
         maxpair = window * sum(map(abs, xi))
     else:

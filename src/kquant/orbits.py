@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import NotDominant, SingularOrbitUnsupported
 from .localization import ClosedComponent, DiscreteKCycle, FixedPointDatum
-from .root_data import (RootDatum, add, is_dominant, is_regular_dominant,
-                        signed_orbit_with_images)
+from .root_data import RootDatum, is_dominant, is_regular_dominant, signed_orbit_with_images
 
 
 @dataclass
@@ -37,28 +36,23 @@ class OrbitCycle:
 def orbit_cycle(datum: RootDatum, gamma) -> OrbitCycle:
     """Fixed point data of the orbit of gamma with its line bundle.
 
-    Torus: the orbit is a point with fiber t^gamma and no tangent
-    directions.  Type A: gamma must be strictly dominant (regular);
-    singular orbits have positive-dimensional fixed sets and raise
-    SingularOrbitUnsupported.
+    One point per image w.gamma of the signed orbit, with fiber t^{w.gamma}
+    and the images of the positive roots as tangent weights.  gamma must
+    be strictly dominant (regular); singular orbits have
+    positive-dimensional fixed sets and raise SingularOrbitUnsupported.
+    A torus has no positive roots, so its orbit is the single point
+    t^gamma with no tangent directions.
     """
     gamma = datum.check_weight(gamma)
     if not is_dominant(datum, gamma):
         raise NotDominant(f"{gamma} is not dominant")
-    label = f"orbit{gamma}"
-    if datum.is_torus:
-        comp = ClosedComponent(label, (FixedPointDatum(
-            (), WeightPolynomial.monomial(gamma)),))
-        return OrbitCycle(datum, gamma, comp)
     if not is_regular_dominant(datum, gamma):
         raise SingularOrbitUnsupported(
             f"{gamma} lies on a chamber wall; only free orbits are supported")
-    pts = []
-    for image, _, roots in signed_orbit_with_images(datum, gamma,
-                                                    datum.positive_roots):
-        pts.append(FixedPointDatum(roots, WeightPolynomial.monomial(image)))
-    comp = ClosedComponent(label, tuple(pts))
-    return OrbitCycle(datum, gamma, comp)
+    pts = tuple(FixedPointDatum(roots, WeightPolynomial.monomial(image))
+                for image, _, roots in signed_orbit_with_images(datum, gamma,
+                                                                datum.positive_roots))
+    return OrbitCycle(datum, gamma, ClosedComponent(f"orbit{gamma}", pts))
 
 
 def p_map(gamma_char: FormalCharacter) -> DiscreteKCycle:

@@ -3,9 +3,13 @@
 Weights are plain tuples of ints.  For a torus the coordinates live in
 the standard character lattice basis.  For type A_n they are coordinates
 in the fundamental-weight basis, so the pairing of a weight with the
-i-th simple coroot is just its i-th coordinate, dominance is a
-componentwise sign test, and the simple roots are the rows of the
-Cartan matrix.
+i-th simple coroot is just its i-th coordinate, dominance is a sign test
+of those coordinates, and the simple roots are the rows of the Cartan
+matrix.
+
+A torus is the datum with no simple roots.  The Weyl-group code below
+loops over datum.simple_roots, so on a torus, with no branch of its own,
+every orbit is one point, every weight is dominant, and W is trivial.
 
 Weyl group elements are never materialized as words or permutations;
 orbits and orbit data are computed by breadth-first closure under the
@@ -139,47 +143,48 @@ def build_root_datum(kind: str, rank: int) -> RootDatum:
 
 
 def is_dominant(datum: RootDatum, w) -> bool:
-    """Dominance test; every torus weight is dominant."""
-    w = datum.check_weight(w)
-    if datum.is_torus:
-        return True
-    return all(x >= 0 for x in w)
+    """Dominance: nonnegative pairing with every simple coroot."""
+    return all(x >= 0 for x in datum.check_weight(w)[:len(datum.simple_roots)])
 
 
 def is_regular_dominant(datum: RootDatum, w) -> bool:
     """Strict dominance: positive pairing with every simple coroot."""
-    w = datum.check_weight(w)
-    if datum.is_torus:
-        return True
-    return all(x >= 1 for x in w)
+    return all(x >= 1 for x in datum.check_weight(w)[:len(datum.simple_roots)])
 
 
 def simple_reflection(datum: RootDatum, i: int, w) -> Weight:
-    """Apply the i-th simple reflection; identity map for a torus."""
-    if datum.is_torus:
-        return datum.check_weight(w)
+    """Apply the i-th simple reflection."""
     alpha = datum.simple_roots[i]
     # <w, alpha_i^vee> is the i-th fundamental coordinate.
     return sub(w, scale(w[i], alpha))
 
 
-def weyl_orbit(datum: RootDatum, w) -> set:
-    """Weyl orbit of a weight, computed by reflection closure."""
-    w = datum.check_weight(w)
-    if datum.is_torus:
-        return {w}
-    seen = {w}
-    frontier = [w]
+def _closure(datum: RootDatum, anchor, extras, signed) -> dict:
+    """Breadth-first closure under the simple reflections: image of anchor
+    -> (image, sign, extra_images).  When signed, an image reached with
+    both signs raises CertificateFailed (the orbit is not free)."""
+    state = (anchor, 1, extras)
+    seen = {anchor: state}
+    frontier = [state]
     while frontier:
         nxt = []
-        for v in frontier:
-            for i in range(datum.rank):
-                u = simple_reflection(datum, i, v)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
+        for a, s, ex in frontier:
+            for i in range(len(datum.simple_roots)):
+                a2 = simple_reflection(datum, i, a)
+                if a2 in seen:
+                    if signed and seen[a2][1] != -s:
+                        raise CertificateFailed(f"anchor {anchor} is not regular")
+                    continue
+                st = (a2, -s, tuple(simple_reflection(datum, i, e) for e in ex))
+                seen[a2] = st
+                nxt.append(st)
         frontier = nxt
     return seen
+
+
+def weyl_orbit(datum: RootDatum, w) -> set:
+    """Weyl orbit of a weight, computed by reflection closure."""
+    return set(_closure(datum, datum.check_weight(w), (), False))
 
 
 def signed_orbit_with_images(datum: RootDatum, anchor, extras=()):
@@ -193,35 +198,12 @@ def signed_orbit_with_images(datum: RootDatum, anchor, extras=()):
     """
     anchor = datum.check_weight(anchor)
     extras = tuple(datum.check_weight(e) for e in extras)
-    if datum.is_torus:
-        return [(anchor, 1, extras)]
-    state = (anchor, 1, extras)
-    seen = {anchor: state}
-    frontier = [state]
-    while frontier:
-        nxt = []
-        for a, s, ex in frontier:
-            for i in range(datum.rank):
-                a2 = simple_reflection(datum, i, a)
-                if a2 in seen:
-                    if seen[a2][1] != -s:
-                        raise CertificateFailed(f"anchor {anchor} is not regular")
-                    continue
-                st = (a2, -s, tuple(simple_reflection(datum, i, e) for e in ex))
-                seen[a2] = st
-                nxt.append(st)
-        frontier = nxt
-    return list(seen.values())
+    return list(_closure(datum, anchor, extras, True).values())
 
 
 def weyl_order(datum: RootDatum) -> int:
-    """Order of the Weyl group: 1 for a torus, (n+1)! for A_n."""
-    if datum.is_torus:
-        return 1
-    out = 1
-    for k in range(2, datum.rank + 2):
-        out *= k
-    return out
+    """Order of the Weyl group, the size of the free orbit of rho."""
+    return len(weyl_orbit(datum, datum.rho))
 
 
 def inner_product(datum: RootDatum, v, w) -> Fraction:
@@ -248,14 +230,12 @@ def inner_product(datum: RootDatum, v, w) -> Fraction:
 def weyl_dimension(datum: RootDatum, lam) -> int:
     """Dimension of the irreducible with highest weight lam.
 
-    Product over positive roots of <lam+rho, alpha> / <rho, alpha>; a
-    torus character is one dimensional.  Raises NotDominant off the cone.
+    Product over positive roots of <lam+rho, alpha> / <rho, alpha>, which
+    is 1 for a torus.  Raises NotDominant off the cone.
     """
     lam = datum.check_weight(lam)
     if not is_dominant(datum, lam):
         raise NotDominant(f"{lam} is not dominant")
-    if datum.is_torus:
-        return 1
     num = Fraction(1)
     lam_rho = add(lam, datum.rho)
     for alpha in datum.positive_roots:
@@ -268,11 +248,9 @@ def weyl_dimension(datum: RootDatum, lam) -> int:
 def dominant_window(datum: RootDatum, bound: int):
     """Iterate the dominant weights of sup-norm <= bound, lex order.
 
-    For a torus this is the full box [-bound, bound]^r; for type A the
-    box [0, bound]^n of dominant fundamental coordinates.
+    Simple coordinates run over [0, bound], any others over [-bound,
+    bound]: the box [-bound, bound]^r of a torus, [0, bound]^n for A_n.
     """
-    if bound < 0:
-        return
-    lo = -bound if datum.is_torus else 0
-    for w in itertools.product(range(lo, bound + 1), repeat=datum.rank):
-        yield w
+    n = len(datum.simple_roots)
+    return itertools.product(*(range(0 if i < n else -bound, bound + 1)
+                               for i in range(datum.rank)))

@@ -155,6 +155,30 @@ def test_character_container():
         kq.Character(A1, {(-1,): 1})
 
 
+def test_repeated_keys_add_in_every_parser():
+    rows = [{"weight": [1], "mult": 2}, {"weight": [1], "mult": 3}]
+    pairs = [((1,), 2), ((1,), 3)]
+    doc = {"window": 2, "terms": rows}
+    assert kq.WeightPolynomial.from_list(rows).terms == {(1,): 5}
+    assert kq.Character.from_list(T1, rows).mults == {(1,): 5}
+    assert kq.Character(T1, pairs).mults == {(1,): 5}
+    assert kq.FormalCharacter.from_dict(T1, doc).coeffs == {(1,): 5}
+    assert kq.FormalCharacter(T1, 2, pairs).coeffs == {(1,): 5}
+    # rows that cancel leave no key, and every row is checked
+    cancel = [((0, 1), 2), ((1, 0), 1), ((0, 1), -2)]
+    assert kq.WeightPolynomial(cancel).terms == {(1, 0): 1}
+    assert kq.Character(A2, cancel).mults == {(1, 0): 1}
+    assert kq.FormalCharacter(A2, 1, cancel).coeffs == {(1, 0): 1}
+    for bad, exc in (([((1, 0), 1), ((-1, 1), 0)], kq.NotDominant),
+                     ([((1, 0), 1), ((1, 0), 1.5)], TypeError)):
+        with pytest.raises(exc):
+            kq.Character(A2, bad)
+        with pytest.raises(exc):
+            kq.FormalCharacter(A2, 1, bad)
+    with pytest.raises(kq.WindowExhausted):
+        kq.FormalCharacter(A2, 1, [((1, 0), 1), ((2, 0), -1), ((2, 0), 1)])
+
+
 def test_formal_character_window():
     fc = kq.FormalCharacter(T1, 3, {(2,): 5})
     assert fc.mult((2,)) == 5

@@ -353,3 +353,44 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["closed_character"] == [{"weight": [4], "mult": 1}]
+
+
+def test_window_zero_on_every_route(capsys):
+    # the polarized route answers window 0, as the series route of quantize does
+    pair, sphere = str(DEMO_DATA / "model_pair.json"), str(DEMO_DATA / "o2_sphere.json")
+    docs = []
+    for argv in (["quantize", pair, "--window", "0"],
+                 ["quantize", pair, "--window", "0", "--polarization", "1"],
+                 ["index", sphere, "--window", "0"]):
+        status, out = run(capsys, *argv)
+        assert status == 0, out
+        docs.append(json.loads(out))
+    zero = {"window": 0, "terms": [{"weight": [0], "mult": 1}]}
+    assert docs == [zero, zero, zero]
+    status, out = run(capsys, "index", sphere, "--window", "-1")
+    assert status == 1 and json.loads(out)["error"] == "ParseError"
+
+
+# (argv, --format, owner and name of the view that format must not build)
+UNPRINTED_VIEWS = [
+    (["verify-qr", "model_pair.json"], "json", kq.QRReport, "table"),
+    (["verify-qr", "model_pair.json"], "table", kq.QRReport, "to_dict"),
+    (["index", "o2_sphere.json", "--window", "3"], "json", kquant.cli, "_terms_table"),
+    (["index", "o2_sphere.json", "--window", "3"], "table", kquant.cli, "_dump"),
+    (["quantize", "model_plane.json"], "json", kquant.cli, "_terms_table"),
+    (["moves", "glue_o2.json"], "table", kq.RewriteCertificate, "to_dict"),
+    (["vanishing", "model_plane.json"], "table", kq.VanishingComponent, "to_dict"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, owner, name", UNPRINTED_VIEWS)
+def test_only_the_printed_view_is_built(capsys, monkeypatch, argv, fmt, owner, name):
+    verb, path, *flags = argv
+    argv = [verb, str(DEMO_DATA / path), *flags, "--format", fmt]
+    expected = run(capsys, *argv)
+
+    def unbuilt(*args):
+        raise RuntimeError(f"{verb} --format {fmt} built {name}")
+    monkeypatch.setattr(owner, name, unbuilt)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0

@@ -109,6 +109,19 @@ def test_quantization_rejects_negative_window():
         kq.formal_quantization(kq.linear_model([(1,)], (0,)), -1)
 
 
+def test_window_zero_is_window_one_restricted():
+    rng = random.Random(19)
+    for _ in range(60):
+        m = random_proper_model(rng)
+        f = kq.formal_quantization(m, 0)
+        assert f.window == 0
+        assert f.coeffs == kq.formal_quantization(m, 1).restrict(0).coeffs
+        assert kq.verify_qr(m, 0).verdict is True
+    # a negative window is still reported before an improper model
+    with pytest.raises(kq.WindowExhausted):
+        kq.formal_quantization(kq.linear_model([(1,), (-1,)], (0,)), -1)
+
+
 def test_reduction_examples():
     m = kq.linear_model([(1,), (1,)], (0,))
     count, regular = kq.reduction_multiplicity(m, (3,))

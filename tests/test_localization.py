@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -205,10 +206,28 @@ def test_degenerate_polarization_rejected():
         kq.normalize_polarization((0, 0))
 
 
-def test_window_zero_rejected():
+def test_negative_window_rejected():
     k = kq.DiscreteKCycle(T1, ((1, kq.f_sphere(0)),))
-    with pytest.raises(kq.WindowExhausted):
-        kq.polarized_index(k, (1,), 0)
+    for window in (-1, -4):
+        with pytest.raises(kq.WindowExhausted):
+            kq.polarized_index(k, (1,), window)
+
+
+def test_window_zero_is_answered():
+    k = kq.DiscreteKCycle(T1, ((1, kq.f_sphere(0)),))
+    for xi in ((1,), (-1,)):
+        f = kq.polarized_index(k, xi, 0)
+        assert (f.window, f.coeffs) == (0, {(0,): 1})
+    rng = random.Random(0)
+    for _ in range(40):
+        k = random_closed_cycle_t1(rng)
+        ref = kq.character_window(k, 0).coeffs
+        for xi in ((1,), (-1,)):
+            assert kq.polarized_index(k, xi, 0).coeffs == ref
+    # the orbit of rho has no multiplicity at the trivial weight
+    a2 = kq.build_root_datum("A", 2)
+    f = kq.polarized_index(kq.orbit_cycle(a2, (1, 1)).cycle(), None, 0)
+    assert (f.window, f.coeffs) == (0, {})
 
 
 def test_window_must_be_an_integer():
@@ -411,3 +430,54 @@ def test_packed_series_with_million_coordinates():
     big = 2 ** 20 - 1
     p = kq.FixedPointDatum(((-1, 0),), WP([((big, -big), 1), ((0, 0), 1)]))
     assert _check_against_reference(p, (1, 1), 0, 2) == {(0, 0): 1}
+
+
+@st.composite
+def polarized_cases(draw):
+    """A finite cycle, a window and a generic integer polarization.
+
+    Torus (T1-T3): signed products of one or two O(k) spheres along
+    random weights, closed by construction, so every point has tangent
+    weights and the series depends on xi.  Type A (A1-A3): p_map of a
+    random formal character on regular weights.
+    """
+    kind = draw(st.sampled_from(("torus", "A")))
+    rank = draw(st.integers(1, 3))
+    datum = kq.build_root_datum(kind, rank)
+
+    def vectors(lo, hi):
+        return st.tuples(*[st.integers(lo, hi)] * rank)
+
+    if kind == "torus":
+        window = draw(st.integers(0, 4))
+        comps = []
+        for _ in range(draw(st.integers(1, 2))):
+            spheres = draw(st.lists(st.tuples(vectors(-2, 2).filter(any), st.integers(0, 2)),
+                                    min_size=1, max_size=2))
+            shift = draw(vectors(-2, 2))
+            pts = []
+            # the point where sphere i sits at its pole of tangent +w_i
+            # carries the fiber k_i w_i of O(k_i) there
+            for up in itertools.product((False, True), repeat=len(spheres)):
+                fiber = shift
+                for (w, k), u in zip(spheres, up):
+                    fiber = kq.root_data.add(fiber, kq.root_data.scale(k * u, w))
+                tangent = [w if u else kq.root_data.neg(w) for (w, _), u in zip(spheres, up)]
+                pts.append(kq.point(fiber, *tangent))
+            comps.append((draw(st.sampled_from((1, -1))), kq.ClosedComponent("s", pts)))
+        k = kq.DiscreteKCycle(datum, tuple(comps))
+    else:
+        window = draw(st.integers(1, 3 if rank < 3 else 2))
+        weights = draw(st.lists(vectors(1, window), min_size=1, max_size=2, unique=True))
+        coeffs = {w: draw(st.sampled_from((-2, -1, 1, 2))) for w in weights}
+        k = kq.p_map(kq.FormalCharacter(datum, window, coeffs))
+    tangents = {w for _, c in k.components for p in c.fixed_points for w in p.tangent_weights}
+    xi = draw(vectors(-6, 6).filter(lambda x: all(_pairing(w, x) for w in tangents)))
+    return k, window, xi
+
+
+@settings(max_examples=80, deadline=None)
+@given(polarized_cases())
+def test_closed_and_polarized_routes_agree_under_random_polarizations(case):
+    k, window, xi = case
+    assert kq.polarized_index(k, xi, window).coeffs == kq.character_window(k, window).coeffs

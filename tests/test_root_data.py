@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -62,6 +64,8 @@ def test_weyl_orbit_sizes():
         (1, 1), (-1, 2), (2, -1), (1, -2), (-2, 1), (-1, -1)}
     # singular weight has a smaller orbit
     assert len(kq.weyl_orbit(A2, (1, 0))) == 3
+    # the free orbit of rho has (n+1)! points
+    assert [kq.weyl_order(kq.build_root_datum("A", n)) for n in (3, 4)] == [24, 120]
 
 
 def test_weyl_dimension():
@@ -96,6 +100,7 @@ def test_dominant_window_contents():
     a_win = list(kq.dominant_window(A2, 1))
     assert a_win == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert len(set(a_win)) == len(a_win)
+    assert list(kq.dominant_window(T2, -1)) == list(kq.dominant_window(A2, -1)) == []
 
 
 def test_orbit_closed_under_reflections():
@@ -110,6 +115,38 @@ def test_singular_anchor_is_a_certificate_failure():
     with pytest.raises(kq.CertificateFailed):
         kq.root_data.signed_orbit_with_images(A2, (0, 1))
     assert len(kq.root_data.signed_orbit_with_images(A2, (1, 1))) == 6
+
+
+def test_torus_answers_come_from_the_general_code(monkeypatch):
+    # a torus has no simple roots, so no Weyl-group loop ever reflects: each
+    # answer below is the general code's on an empty root system
+    from kquant import characters, root_data
+
+    def never(*args):
+        raise RuntimeError("a torus has no simple reflection")
+    for module in (root_data, characters):
+        monkeypatch.setattr(module, "simple_reflection", never)
+    rng = random.Random(19)
+
+    def weight(rank, size):
+        return tuple(rng.randint(-size, size) for _ in range(rank))
+    for rank in (1, 2, 3):
+        datum = kq.build_root_datum("torus", rank)
+        assert kq.weyl_order(datum) == 1
+        for _ in range(12):
+            w = weight(rank, 4)
+            extras = tuple(weight(rank, 3) for _ in range(rng.randint(0, 2)))
+            assert kq.is_dominant(datum, w) and kq.is_regular_dominant(datum, w)
+            assert kq.weyl_orbit(datum, w) == {w}
+            assert root_data.signed_orbit_with_images(datum, w, extras) == [(w, 1, extras)]
+            assert kq.weyl_dimension(datum, w) == 1
+            assert kq.weyl_character(datum, w) == kq.WeightPolynomial.monomial(w)
+            p = kq.WeightPolynomial([(weight(rank, 3), rng.choice((-2, -1, 1, 3)))
+                                     for _ in range(rng.randint(1, 4))])
+            assert kq.decompose(datum, p).mults == p.terms
+            (pt,) = kq.orbit_cycle(datum, w).component.fixed_points
+            assert pt.tangent_weights == ()
+            assert pt.fiber_character == kq.WeightPolynomial.monomial(w)
 
 
 def test_weyl_dimension_integrality_is_a_certificate(monkeypatch):
