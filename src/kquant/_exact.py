@@ -6,10 +6,11 @@ prev, p the new pivot and prev the one before; the division is exact
 because every entry is a minor of the input, so no Fraction is built.
 solve (a square system with its determinant), nullspace and cramer_kit
 (a greedy basis of a span with the rows that solve for it) are one such
-elimination each, hyperplanes one per subset.  lattice_tests alone
-eliminates differently: by unimodular row and column operations, for the
-group vectors generate.
-residue_kit is gcd arithmetic for the last loop level of the counting route.
+elimination each, hyperplanes one per subset.  hermite_basis alone
+eliminates differently: by unimodular row operations (Euclid), to an
+echelon basis of the group the vectors generate, on which the counting
+route enumerates its targets.  residue_kit is gcd arithmetic for the
+last loop level of the counting route.
 """
 
 from __future__ import annotations
@@ -119,33 +120,36 @@ def residue_kit(step, det):
     return g, det // g, u
 
 
-def lattice_tests(weights, rank):
-    """Functionals deciding membership in the group the weights generate.
+def hermite_basis(vectors, rank):
+    """Column-echelon (Hermite normal form) basis of the group the vectors generate.
 
-    Unimodular row operations P and column operations bring the rank x d
-    matrix of the weights to diagonal form diag(e_0, ..., e_{s-1}, 0, ...),
-    so x is in the group iff P x is in the group of that form: row t >= s
-    of P must vanish on x (the span) and row t < s must vanish modulo
-    |e_t| (the lattice inside the span).  Returns (row, modulus) pairs,
-    modulus 0 for the span; a modulus 1 needs no test.
+    Unimodular row operations on the vectors, one coordinate t at a time:
+    Euclid on the entries at t leaves one vector nonzero there, made
+    positive, and the others zero at t (dropped once zero everywhere).  So
+    the basis vector b_k is zero before its pivot p_k and positive at it,
+    p_0 < p_1 < ..., and each earlier b_j is reduced at p_k into [0,
+    b_k[p_k]), which makes the basis unique (Cohen, A Course in
+    Computational Algebraic Number Theory, section 2.4).
     """
-    d = len(weights)
-    a = [[w[t] for w in weights] + [int(s == t) for s in range(rank)] for t in range(rank)]
-    p = 0
-    while nz := [(abs(r[j]), i, j) for i, r in enumerate(a[p:], p) for j in range(p, d) if r[j]]:
-        _, i, j = min(nz)  # the smallest entry left becomes the pivot
-        a[p], a[i] = a[i], a[p]
-        for r in a:
-            r[p], r[j] = r[j], r[p]
-        piv = a[p]
-        for r in a[p + 1:]:
-            q = r[p] // piv[p]
-            r[:] = [x - q * y for x, y in zip(r, piv)]
-        for j in range(p + 1, d):
-            q = piv[j] // piv[p]
-            for r in a:
-                r[j] -= q * r[p]
-        # remainders left in the pivot's row or column: pivot again on a smaller one
-        p += not (any(r[p] for r in a[p + 1:]) or any(piv[p + 1:d]))
-    return tuple((tuple(r[d:]), abs(r[t]) if t < p else 0)
-                 for t, r in enumerate(a) if t >= p or abs(r[t]) > 1)
+    rows, basis = [list(v) for v in vectors if any(v)], []
+    for t in range(rank):
+        live = [r for r in rows if r[t]]
+        rows = [r for r in rows if not r[t]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[t]))
+            piv, *rest = live
+            live = [piv]
+            for r in rest:
+                q = r[t] // piv[t]
+                r = [x - q * y for x, y in zip(r, piv)]
+                if r[t]:
+                    live.append(r)
+                elif any(r):
+                    rows.append(r)
+        if live:
+            piv = live[0] if live[0][t] > 0 else [-x for x in live[0]]
+            for b in basis:
+                q = b[t] // piv[t]
+                b[:] = [x - q * y for x, y in zip(b, piv)]
+            basis.append(piv)
+    return tuple(map(tuple, basis))

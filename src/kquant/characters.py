@@ -414,13 +414,24 @@ def formal_multiply(f: FormalCharacter, c: Character) -> FormalCharacter:
     is linear, so the product of sums is the sum of pairwise products).
     The window shrinks by the sup-norm bound of the finite factor's full
     weight system, which is exactly the margin needed for every
-    contributing term of f to lie inside f's window.  Raises
-    WindowExhausted when the shrunken window is empty (negative).
+    contributing term of f to lie inside f's window.  The margin is read
+    off the union of the constituents' terms, not off their sum, where
+    terms could cancel.  Each distinct constituent's weyl_character is
+    built once.  Raises WindowExhausted when the shrunken window is empty
+    (negative).
     """
     if f.datum != c.datum:
         raise ValueError("datum mismatch")
-    margin = c.weight_system_bound()
+    chars = {w: weyl_character(c.datum, w) for w in c.mults}
+    margin = max((sup_norm(v) for ch in chars.values() for v in ch.terms), default=0)
     window = f.window - margin
     if window < 0:
         raise WindowExhausted(f"window {f.window} cannot absorb margin {margin}")
-    return FormalCharacter.from_character(char_product(Character(f.datum, f.coeffs), c), window)
+    for w in f.coeffs.keys() - chars.keys():
+        chars[w] = weyl_character(f.datum, w)
+
+    def expand(mults):
+        return sum((m * chars[w] for w, m in mults.items()), WeightPolynomial.zero())
+
+    product = decompose(f.datum, expand(f.coeffs) * expand(c.mults))
+    return FormalCharacter.from_character(product, window)

@@ -13,32 +13,35 @@ Two independent routes compute the same invariant:
 * formal_quantization expands t^c prod (1 - t^{w_j})^{-1} as a polarized
   geometric series on a window (through the localization engine);
 * reduction_multiplicity counts lattice points
-  #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}.  One pairing of gamma
-  with the packed normals of the maximal walls decides regularity and,
-  through the normals that support the cone of the weights, most zero
-  counts; functionals for the group the weights generate decide most
-  others (and regularity, when the weights' span is the one wall).  The
-  rest are counted together as columns, in one list pass per loop level
-  and coefficient and the last level in closed form (a simplicial cone
-  needs none).  Its per-model setup (Farkas vector, a greedy basis of
-  the weights' span with the integer rows that make each search leaf one
+  #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}.  Only the targets are
+  visited: the points gamma of c + L, L the group the weights generate,
+  that lie in the box and the cone of the weights, enumerated coordinate
+  by coordinate on an echelon basis of L, with the box and the normals
+  that support the cone bounding each coefficient in closed form.  They
+  are counted together as columns, in one list pass per loop level and
+  coefficient and the last level in closed form (independent weights
+  need none).  Regularity (gamma - c on no wall) is one pairing of gamma
+  with the packed normals of the maximal walls, computed apart from the
+  count.  The per-model setup (Farkas vector, a greedy basis of the
+  weights' span with the integer rows that make each search leaf one
   divisibility and sign test, from one elimination; the oriented wall
-  normals; the group functionals) is built on the first call for a model
-  and kept on it, unchanged: each pass packs the normals for its own
-  box.  It reads only the weights, the shift and the Farkas vector, and
-  shares no cache with the series route.  The same setup counts a whole
-  window in one pass.  The separation result
+  normals; the echelon basis of L) is built on the first call for a
+  model and kept on it, unchanged.  It reads only the weights, the
+  shift and the Farkas vector, uses neither multiplicities nor the
+  series' expansion, and shares no cache with the series route.  The
+  same setup counts a whole window in one pass.  The separation result
   behind check_proper and farkas_vector is kept on the model too, so it
   dies with the model.
 
 verify_qr counts the window in one pass and compares the two routes as
 sparse maps, {weight: nonzero series coefficient} against {weight:
 nonzero count}, which are equal exactly when the routes agree at every
-weight of the window; its report expands the maps into rows only when
-asked.  vanishing_decomposition solves V^mu = 0 exactly: on the stratum
-where exactly the coordinates in S are nonzero the condition is
-<w_j, mu(z)> = 0 for j in S, a linear system in the action variables
-a_j = |z_j|^2 / 2 whose solution set is a rational polytope.  Each
+weight of the window; its report builds the regular column and expands
+the maps into rows only when asked.  vanishing_decomposition solves
+V^mu = 0 exactly: on the stratum where exactly the coordinates in S are
+nonzero the condition is <w_j, mu(z)> = 0 for j in S, a linear system
+in the action variables a_j = |z_j|^2 / 2 whose solution set is a
+rational polytope.  Each
 column set's Gram system is solved once per model, with its mu value,
 and every stratum is read off the rows of that table.  mu is constant on
 a stratum, so the connected components of the full zero set are the
@@ -61,7 +64,7 @@ from fractions import Fraction
 from operator import add, mul, neg as negative
 from typing import NamedTuple
 
-from ._exact import (cramer_kit, hyperplanes, lattice_tests, nullspace,
+from ._exact import (cramer_kit, hermite_basis, hyperplanes, nullspace,
                      residue_kit, solve)
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
@@ -211,15 +214,6 @@ def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:
     return polarized_index(model_cycle(m), farkas_vector(m), window)
 
 
-def _box_sums(v, base, axes):
-    """[base + <v, gamma> for gamma in product(*axes)], summed axis by axis."""
-    out = [base]
-    for x, values in zip(v, axes):
-        row = [x * g for g in values]
-        out = [a + b for a in out for b in row]
-    return out
-
-
 class ReductionCount(NamedTuple):
     """(count, regular) with named access."""
 
@@ -235,48 +229,49 @@ class _LatticeCounter:
     spanned by rank - 1 weights, oriented, where possible, so that every
     weight pairs >= 0 with it; such a supporting normal bounds the cone
     of the weights, so a target gamma - c pairing < 0 with it has count
-    0.  Each pass packs the normals as digit columns wide enough for its
-    own box: field f (lowest bit p, top bit q) of sum(packed * gamma) +
+    0.  regular(axes) packs the normals as digit columns wide enough for
+    its box: field f (lowest bit p, top bit q) of sum(packed * gamma) +
     const is <n_f, gamma - c> + 2^q.  So gamma is on a wall iff some
-    field of that sum ^ half is zero (the zero-digit bit test, with
-    `ones` the lowest bits), and outside the cone iff a supporting field
-    lacks its top bit (`cone`).  With no such hyperplane the one wall is
-    the weights' span: gamma is regular iff a span row of `lattice`
-    (modulus 0) is nonzero on gamma - c, read off the pass's lattice
-    columns.  No slot changes after __init__.
+    field of that sum ^ half is zero (the zero-digit bit test, with `ones`
+    the lowest bits).  With no such hyperplane the one wall is the
+    weights' span: gamma is singular iff every row of a nullspace basis
+    of the span vanishes on gamma - c, that is iff the packed sum is
+    exactly its bias.  No slot changes after __init__.
 
-    Lattice.  A nonzero count needs gamma - c in the group the weights
-    generate; `lattice` holds the functionals that decide it (see
-    _exact.lattice_tests).  When the weights are a basis of the whole
-    space (no looped weights, see below) the cone is simplicial and the
-    cone and lattice tests are exact, so a target passing both counts 1
-    with no Cramer rows.
-
-    Window.  window(w) counts the whole box [-w, w]^rank in one pass and
-    count(gamma) one point, through the same _counts: it packs the walls
-    for its box, builds the packed and lattice pairings of every point by
-    incremental sums along the axes (_box_sums), and counts only the
-    targets inside the cone that pass the lattice test (_tally).  It
-    returns two columns: a regular flag per point and a dict of the
-    nonzero counts only, so a zero count costs no object.
+    Targets.  A nonzero count needs gamma - c in the group L the weights
+    generate, and <n, gamma - c> >= 0 for the supporting normals and the
+    Farkas vector.  `basis` holds the echelon basis b_0, b_1, ... of L
+    (_exact.hermite_basis, flat, as walls): b_k is zero before its pivot
+    row and positive there, pivots increasing.  _targets enumerates gamma
+    = c + sum x_k b_k in the box level by level.  Every tracked row (the
+    coordinates of gamma, the fields the count reads, that is <xi, gamma
+    - c> and the `leaf` rows, and the cone rows) is an affine column,
+    stepped by its pairing with b_k, its image.  A row is final once the
+    last vector that moves it is chosen; there the box bounds a coordinate
+    and the cone a cone row, each a closed-form range of x_k, and the
+    pivot coordinate always gives a finite one.  When no weight is looped
+    (see below) the cone rows are the leaf rows, and a target that passes
+    them counts 1 with no search: its one coefficient vector is integral
+    (gamma - c is in L) and nonnegative.  Otherwise the cone rows are xi
+    and the supporting normals, and _level counts the targets.
 
     Counting.  The weights are sorted by increasing Farkas pairing, and
     one elimination (_exact.cramer_kit) takes from that end the greedy
     basis of their span: each weight independent of the weights before
-    it.  A remainder y in the span (the lattice tests decide that before
-    any search) has exactly one coefficient vector a on the basis, with
-    det * a = leaf * y and det > 0, so a leaf of the search is one test:
-    every entry of leaf * y a nonnegative multiple of det.  The other
-    d - rank(span) weights are looped, largest pairing first, within the
-    Farkas budget <y, xi>.  All targets of a pass go through the levels
-    together, as one list per leaf row and one of budgets (_level), and
-    no value computed for one target is used for another.  The test is
-    linear in the last looped weight's coefficient a, so the valid a form
-    an interval met with one residue class mod det // gcd(det, step),
-    read off `kit` (_exact.residue_kit) and counted in closed form.
+    it.  A remainder y in the span has exactly one coefficient vector a
+    on the basis, with det * a = leaf * y and det > 0, so a leaf of the
+    search is one test: every entry of leaf * y a nonnegative multiple of
+    det.  The other d - rank(span) weights are looped, largest pairing
+    first, within the Farkas budget <y, xi>.  All targets of a pass go
+    through the levels together, as one list per leaf row and one of
+    budgets (_level), and no value computed for one target is used for
+    another.  The test is linear in the last looped weight's coefficient
+    a, so the valid a form an interval met with one residue class mod det
+    // gcd(det, step), read off `kit` (_exact.residue_kit) and counted in
+    closed form.
     """
 
-    __slots__ = ("shift", "xi", "det", "leaf", "steps", "kit", "lattice", "walls")
+    __slots__ = ("shift", "xi", "det", "leaf", "steps", "kit", "basis", "walls")
 
     def __init__(self, m: LinearModel):
         self.shift = c0 = m.shift
@@ -287,69 +282,87 @@ class _LatticeCounter:
         self.steps = tuple((tuple(dot(row, w) for row in self.leaf), dot(w, xi))
                            for w in looped)
         self.kit = residue_kit(self.steps[-1][0] if self.steps else (), self.det)
-        self.lattice = lattice_tests(m.weights, m.rank)
         normals = [neg(n) if all(dot(w, n) <= 0 for w in m.weights) else n
                    for n in hyperplanes(m.weights, m.rank)]
         self.walls = tuple((*n, dot(n, c0), all(dot(w, n) >= 0 for w in m.weights))
                            for n in normals)
+        self.basis = sum(hermite_basis(m.weights, m.rank), ())  # flat, as walls
+
+    def _vectors(self) -> list:
+        """The echelon basis of L, one vector per level."""
+        r = len(self.shift)
+        return [self.basis[i:i + r] for i in range(0, len(self.basis), r)]
 
     def count(self, gamma) -> ReductionCount:
-        (regular,), counts = self._counts([(g,) for g in gamma])
-        return ReductionCount(counts.get(gamma, 0), regular)
+        return ReductionCount(self._counts(gamma, gamma).get(gamma, 0),
+                              self.regular([(g,) for g in gamma])[0])
 
-    def window(self, w):
-        """(regular, counts) on [-w, w]^rank; see _counts."""
-        return self._counts([range(-w, w + 1)] * len(self.shift))
+    def window(self, w) -> dict:
+        """The nonzero counts on [-w, w]^rank; see _counts."""
+        return self._counts((-w,) * len(self.shift), (w,) * len(self.shift))
 
-    def _counts(self, axes):
-        """(regular, counts) on product(*axes).
+    def _counts(self, los, his) -> dict:
+        """{gamma: count} for each gamma of the box prod [lo_t, hi_t] with a nonzero count."""
+        r = len(self.shift)
+        cols = self._targets(los, his)
+        if len(self.steps) > 1 and cols:  # _level reads the budgets in decreasing order
+            order = sorted(range(len(cols[r])), key=cols[r].__getitem__, reverse=True)
+            cols = [[col[i] for i in order] for col in cols]
+        gammas = list(zip(*cols[:r]))
+        if not (gammas and self.steps):
+            return dict.fromkeys(gammas, 1)  # none, or independent weights: the cone rows were exact
+        bs, *ys = cols[r:]
+        del cols  # the coordinate columns, freed so they add nothing to the count's peak memory
+        return {g: n for g, n in zip(gammas, self._level(0, ys, bs)) if n}
 
-        regular holds one flag per point, in product order (for a window,
-        dominant_window order); counts maps each gamma with a nonzero
-        count to that count and holds no other key.
+    def _targets(self, los, his) -> list:
+        """The columns of the targets in the box: the coordinates of gamma, then xi and leaf.
+
+        The targets are enumerated level by level (see the class docstring):
+        a column holds one value per partial point, and level k keeps of each
+        point the range of x_k that the rows final there allow.  xi and leaf
+        are left out when no weight is looped, and [] stands for no target.
         """
-        c0, big = self.shift, max((abs(g) for axis in axes for g in axis), default=0)
-        packed, const, half, ones, cone, p = [0] * len(c0), 0, 0, 0, 0, 0
-        for *n, c, supporting in self.walls:
-            top = 1 << p + (sum(map(abs, n)) * big + abs(c)).bit_length()
-            packed = [x + (v << p) for x, v in zip(packed, n)]
-            const += top - (c << p)
-            half += top
-            ones += 1 << p
-            if supporting:
-                cone += top
-            p = top.bit_length()
-        ds = _box_sums(packed, const, axes)
-        inside = [d & cone == cone for d in ds]
-        span = []  # the span rows' columns, when the span is the one wall
-        for n, m in self.lattice:
-            vs = _box_sums(n, -dot(n, c0), axes)
-            inside = [a and not (v % m if m else v) for a, v in zip(inside, vs)]
-            if not (m or self.walls):
-                span.append(vs)
-        regular = ([any(z) for z in zip(*span)] if span else
-                   [not ((e := d ^ half) - ones) & ~e & half for d in ds])
-        gammas = list(itertools.compress(itertools.product(*axes), inside))
-        del ds, inside, span  # box-sized, freed so they add nothing to the count's peak memory
-        return regular, {g: n for g, n in zip(gammas, self._tally(gammas)) if n}
-
-    def _tally(self, gammas) -> list:
-        """The count of each target gamma - c inside the cone and the group of the weights."""
-        n, c0 = len(gammas), self.shift
-        if not self.steps and len(self.leaf) == len(c0):
-            return [1] * n  # simplicial: the cone and lattice tests were exact
-        bs, *ys = ([sum(map(mul, row, g)) - y0 for g in gammas]
-                   for row, y0 in ((row, dot(row, c0)) for row in (self.xi, *self.leaf)))
-        order = range(n)
-        if len(self.steps) > 1:  # see _level
-            order = sorted(order, key=bs.__getitem__, reverse=True)
-            bs, ys = [bs[i] for i in order], [[col[i] for i in order] for col in ys]
-        counts = (self._level(0, ys, bs) if self.steps else
-                  self._last(ys, [0] * n, (0,) * len(ys)))  # the leaf test at a = 0 is the count
-        out = [0] * n
-        for i, c in zip(order, counts):
-            out[i] = c
-        return out
+        c0, r = self.shift, len(self.shift)
+        if self.steps:  # rows past the coordinates: xi and leaf, then the supporting normals
+            rows = (self.xi, *self.leaf, *(n for *n, _, supporting in self.walls if supporting))
+            cone = (r, *range(r + 1 + len(self.leaf), r + len(rows)))
+        else:
+            rows, cone = self.leaf, range(r, r + len(self.leaf))
+        vectors = self._vectors()
+        images = [(*b, *(sum(map(mul, row, b)) for row in rows)) for b in vectors]
+        final = [[] for _ in vectors]  # the bounded rows that b_k is the last to move
+        for q, lo, hi in (*zip(range(r), los, his), *((q, 0, None) for q in cone)):
+            k = len(vectors)
+            while k and not images[k - 1][q]:
+                k -= 1
+            if k:
+                final[k - 1].append((q, lo, hi))
+            elif q < r and not lo <= c0[q] <= hi:
+                return []  # a coordinate no basis vector moves lies outside the box
+        kept = r + 1 + len(self.leaf) if self.steps else r  # the rows read after the last level
+        cols = [[c] for c in c0] + [[0] for _ in rows]
+        for k, img in enumerate(images):
+            lows, highs = [], []
+            for q, lo, hi in final[k]:
+                a, col = img[q], cols[q]
+                if a > 0:
+                    lows.append([-((v - lo) // a) for v in col])
+                    if hi is not None:
+                        highs.append([(hi - v) // a for v in col])
+                else:
+                    highs.append([(v - lo) // -a for v in col])
+                    if hi is not None:
+                        lows.append([-((hi - v) // -a) for v in col])
+            reps = [range(x, y + 1) for x, y in zip(map(max, *lows) if len(lows) > 1 else lows[0],
+                                                     map(min, *highs) if len(highs) > 1 else highs[0])]
+            if k + 1 == len(images):
+                cols = cols[:kept]  # the cone rows are spent
+            cols = [[v + s * x for v, rep in zip(col, reps) for x in rep] if s else
+                    [v for v, rep in zip(col, reps) for _ in rep] for col, s in zip(cols, img)]
+            if not cols[0]:
+                return []
+        return cols[:kept]
 
     def _level(self, j, ys, bs):
         """Counts from loop level j on; bs decreases, so the budgets still >= 0 are a prefix."""
@@ -366,7 +379,7 @@ class _LatticeCounter:
     def _last(self, ys, his, step):
         """#{a in [0, hi] : y - a * step passes the leaf test}, per column, in closed form.
 
-        The leaf rows alone decide (the lattice tests put the target in the
+        The leaf rows alone decide (the target lies in c + L, so y is in the
         span): each entry of y - a * step must be a nonnegative multiple of
         det.  The signs bound a to [lo, hi], and the multiples hold, if at
         all, on the class of sum(u * y) // g mod period, checked at its first
@@ -389,22 +402,43 @@ class _LatticeCounter:
             ok = [k and (r := y - a * s) >= 0 and not r % det for k, y, a in zip(ok, col, firsts)]
         return [(h - a) // period + 1 if k else 0 for k, h, a in zip(ok, his, firsts)]
 
+    def regular(self, axes) -> list:
+        """The regular flag of each point of product(*axes), in that order; see the class docstring."""
+        c0, r = self.shift, len(self.shift)
+        big = max((abs(g) for axis in axes for g in axis), default=0)
+        walls = self.walls or [(*n, dot(n, c0), False)
+                               for n in nullspace(self._vectors(), r)]
+        packed, const, half, ones, p = [0] * r, 0, 0, 0, 0
+        for *n, c, _ in walls:
+            top = 1 << p + (sum(map(abs, n)) * big + abs(c)).bit_length()
+            packed = [x + (v << p) for x, v in zip(packed, n)]
+            const += top - (c << p)
+            half += top
+            ones += 1 << p
+            p = top.bit_length()
+        sums = [const]
+        for x, axis in zip(packed, axes):
+            row = [x * g for g in axis]
+            sums = [s + t for s in sums for t in row]
+        if self.walls:
+            return [not ((e := d ^ half) - ones) & ~e & half for d in sums]
+        return [d != half for d in sums]
+
 
 def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
     """Lattice count of mu^{-1}(gamma) data, with a regularity flag.
 
     Counts #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}; gamma is regular
     iff gamma - c avoids every wall spanned by fewer than rank weights
-    (tested on the maximal walls).  One packed pairing decides regularity
-    and whether gamma - c lies outside the cone of the weights, a few
-    functionals whether it lies outside the group they generate (count
-    0); else the count loops the weights outside a greedy basis of their
-    span but the last, bounded by the Farkas vector (a_j <= <gamma-c, xi>
-    / <w_j, xi>), takes the last one's coefficient from one residue class
-    in closed form and solves the basis exactly.  The setup and the count
-    are those of the window pass of verify_qr, which counts all targets
-    of a window at once (_LatticeCounter, built on a model's first call
-    and kept on it).
+    (tested on the maximal walls, by one packed pairing).  The count is
+    the window pass of verify_qr on the one-point box: gamma is a target
+    only if gamma - c is in the group the weights generate and pairs >= 0
+    with the normals that support their cone (else the count is 0); then
+    the count loops the weights outside a greedy basis of their span but
+    the last, bounded by the Farkas vector (a_j <= <gamma-c, xi> / <w_j,
+    xi>), takes the last one's coefficient from one residue class in
+    closed form and solves the basis exactly.  The setup is built on a
+    model's first call and kept on it (_LatticeCounter).
     """
     return m._counter.count(m.datum.check_weight(gamma))
 
@@ -553,18 +587,22 @@ class QRReport:
 
     series and counts map each weight of the window to its nonzero
     series coefficient (q_top) and nonzero lattice count (q_red); a
-    weight absent from a map is 0 there.  regular holds one flag per
-    weight, in dominant_window order, and verdict is series == counts.
-    to_dict and table expand the columns into one row per weight of the
-    window, in that order.
+    weight absent from a map is 0 there, and verdict is series == counts.
+    regular holds one flag per weight, in dominant_window order; the
+    verdict never reads it, so it is computed from the model's counter
+    on first read and kept on the report.  to_dict and table expand the
+    columns into one row per weight of the window, in that order.
     """
 
     model: LinearModel
     window: int
     series: dict
     counts: dict
-    regular: list
     verdict: bool
+
+    @functools.cached_property
+    def regular(self) -> list:
+        return self.model._counter.regular([range(-self.window, self.window + 1)] * self.model.rank)
 
     def _cells(self):
         """(gamma, q_top, q_red, regular) for every weight of the window."""
@@ -592,11 +630,12 @@ def verify_qr(m: LinearModel, window: int) -> QRReport:
     """Compare series multiplicities against lattice counts on a window.
 
     The series comes from formal_quantization, the counts of the whole
-    window from one pass of the model's counter (_LatticeCounter.window),
-    equal to reduction_multiplicity at every weight.  Both hold only
-    nonzero values, on keys inside the window, so the routes agree at
-    every weight exactly when the two maps are equal.
+    window from one enumeration of its targets by the model's counter
+    (_LatticeCounter.window), equal to reduction_multiplicity at every
+    weight.  Both hold only nonzero values, on keys inside the window, so
+    the routes agree at every weight exactly when the two maps are equal.
+    The report's regular column is left to its first read.
     """
     series = formal_quantization(m, window).coeffs
-    regular, counts = m._counter.window(window)
-    return QRReport(m, window, series, counts, regular, series == counts)
+    counts = m._counter.window(window)
+    return QRReport(m, window, series, counts, series == counts)

@@ -4,6 +4,7 @@ Random data is always drawn from a seeded Random instance passed in by
 the caller, so every test run sees the same corpus.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -402,7 +403,7 @@ def recursive_count(m, gamma):
     """Reference lattice count of one gamma by a depth-first search per target.
 
     Uses the model counter's setup (Farkas vector xi, Cramer rows `leaf`
-    with det, loop steps, lattice functionals) but none of its counting:
+    with det, loop steps) and lattice_tests, but none of its counting:
     a target outside the group of the weights counts 0; otherwise each
     looped weight's coefficient runs over its Farkas budget, and the last
     level bounds its coefficient a by the signs of y - a * step and scans
@@ -411,7 +412,8 @@ def recursive_count(m, gamma):
     ctr = m._counter
     dot = lambda u, v: sum(map(operator.mul, u, v))
     target = tuple(g - c for g, c in zip(gamma, m.shift))
-    if any(dot(n, target) % mod if mod else dot(n, target) for n, mod in ctr.lattice):
+    if any(dot(n, target) % mod if mod else dot(n, target)
+           for n, mod in _model_lattice_tests(m.weights, m.rank)):
         return 0
     det, steps = ctr.det, ctr.steps
     period = det // math.gcd(det, *steps[-1][0]) if steps else 1
@@ -443,3 +445,100 @@ def recursive_count(m, gamma):
 
     y = tuple(dot(row, target) for row in ctr.leaf)
     return search(0, y, dot(target, ctr.xi)) if steps else last(y, 0, (0,) * len(y))
+
+
+def lattice_tests(weights, rank):
+    """Functionals deciding membership in the group the weights generate.
+
+    Unimodular row operations P and column operations bring the rank x d
+    matrix of the weights to diagonal form diag(e_0, ..., e_{s-1}, 0, ...),
+    so x is in the group iff P x is in the group of that form: row t >= s
+    of P must vanish on x (the span) and row t < s must vanish modulo
+    |e_t| (the lattice inside the span).  Returns (row, modulus) pairs,
+    modulus 0 for the span; a modulus 1 needs no test.
+    """
+    d = len(weights)
+    a = [[w[t] for w in weights] + [int(s == t) for s in range(rank)] for t in range(rank)]
+    p = 0
+    while nz := [(abs(r[j]), i, j) for i, r in enumerate(a[p:], p) for j in range(p, d) if r[j]]:
+        _, i, j = min(nz)  # the smallest entry left becomes the pivot
+        a[p], a[i] = a[i], a[p]
+        for r in a:
+            r[p], r[j] = r[j], r[p]
+        piv = a[p]
+        for r in a[p + 1:]:
+            q = r[p] // piv[p]
+            r[:] = [x - q * y for x, y in zip(r, piv)]
+        for j in range(p + 1, d):
+            q = piv[j] // piv[p]
+            for r in a:
+                r[j] -= q * r[p]
+        # remainders left in the pivot's row or column: pivot again on a smaller one
+        p += not (any(r[p] for r in a[p + 1:]) or any(piv[p + 1:d]))
+    return tuple((tuple(r[d:]), abs(r[t]) if t < p else 0)
+                 for t, r in enumerate(a) if t >= p or abs(r[t]) > 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _model_lattice_tests(weights, rank):
+    """lattice_tests of a model's weights, once per weights (recursive_count runs per gamma)."""
+    return lattice_tests(weights, rank)
+
+
+def _box_sums(v, base, axes):
+    """[base + <v, gamma> for gamma in product(*axes)], summed axis by axis."""
+    out = [base]
+    for x, values in zip(v, axes):
+        row = [x * g for g in values]
+        out = [a + b for a in out for b in row]
+    return out
+
+
+def box_counts(m, axes):
+    """Reference (regular, counts) on product(*axes) by a pass over the whole box.
+
+    Packs the counter's walls for the box and pairs every point with them
+    and with lattice_tests' functionals: regular holds one flag per point,
+    in product order, and counts the nonzero count of each point inside
+    the cone and the group of the weights, from the counter's own search
+    kernels (_level, _last) on fields summed per point.
+    """
+    ctr = m._counter
+    c0, big = ctr.shift, max((abs(g) for axis in axes for g in axis), default=0)
+    packed, const, half, ones, cone, p = [0] * len(c0), 0, 0, 0, 0, 0
+    for *n, c, supporting in ctr.walls:
+        top = 1 << p + (sum(map(abs, n)) * big + abs(c)).bit_length()
+        packed = [x + (v << p) for x, v in zip(packed, n)]
+        const += top - (c << p)
+        half += top
+        ones += 1 << p
+        if supporting:
+            cone += top
+        p = top.bit_length()
+    ds = _box_sums(packed, const, axes)
+    inside = [d & cone == cone for d in ds]
+    span = []  # the span rows' columns, when the span is the one wall
+    for n, mod in lattice_tests(m.weights, m.rank):
+        vs = _box_sums(n, -sum(map(operator.mul, n, c0)), axes)
+        inside = [a and not (v % mod if mod else v) for a, v in zip(inside, vs)]
+        if not (mod or ctr.walls):
+            span.append(vs)
+    regular = ([any(z) for z in zip(*span)] if span else
+               [not ((e := d ^ half) - ones) & ~e & half for d in ds])
+    gammas = list(itertools.compress(itertools.product(*axes), inside))
+    n = len(gammas)
+    if not ctr.steps and len(ctr.leaf) == len(c0):
+        counts = [1] * n  # simplicial: the cone and lattice tests were exact
+    else:
+        bs, *ys = ([sum(map(operator.mul, row, g)) - sum(map(operator.mul, row, c0))
+                    for g in gammas] for row in (ctr.xi, *ctr.leaf))
+        order = range(n)
+        if len(ctr.steps) > 1:
+            order = sorted(order, key=bs.__getitem__, reverse=True)
+            bs, ys = [bs[i] for i in order], [[col[i] for i in order] for col in ys]
+        found = (ctr._level(0, ys, bs) if ctr.steps else
+                 ctr._last(ys, [0] * n, (0,) * len(ys)))
+        counts = [0] * n
+        for i, c in zip(order, found):
+            counts[i] = c
+    return regular, {g: c for g, c in zip(gammas, counts) if c}

@@ -270,6 +270,33 @@ def test_formal_multiply_matches_the_pairwise_products():
     assert kinds == {True, False, ValueError, kq.WindowExhausted}
 
 
+def test_formal_multiply_builds_each_constituent_once(monkeypatch):
+    from kquant import characters as ch
+
+    real = ch.weyl_character
+    cases = [(kq.FormalCharacter(A2, 6, {(1, 1): 1, (2, 0): 3}),
+              kq.Character(A2, {(1, 0): 1, (0, 1): 2})),
+             # (1, 0) is a constituent of both factors
+             (kq.FormalCharacter(A2, 5, {(1, 0): -1, (0, 2): 2}),
+              kq.Character(A2, {(1, 0): 1, (1, 1): -1})),
+             (kq.FormalCharacter(T2, 4, {(1, -1): 2, (0, 0): 1}),
+              kq.Character(T2, {(0, 0): 1, (-2, 1): 3}))]
+    for f, c in cases:
+        calls = []
+        monkeypatch.setattr(ch, "weyl_character", lambda d, w: calls.append(w) or real(d, w))
+        got = kq.formal_multiply(f, c)
+        monkeypatch.setattr(ch, "weyl_character", real)
+        assert sorted(calls) == sorted({*f.coeffs, *c.mults}), (f, c)
+        assert got.window == f.window - c.weight_system_bound()
+        assert got == pairwise_formal_multiply(f, c), (f, c)
+    # the margin alone decides an empty window: f's characters are not built
+    calls = []
+    monkeypatch.setattr(ch, "weyl_character", lambda d, w: calls.append(w) or real(d, w))
+    with pytest.raises(kq.WindowExhausted):
+        kq.formal_multiply(kq.FormalCharacter(A1, 1, {(1,): 1}), kq.Character(A1, {(3,): 1}))
+    assert calls == [(3,)]
+
+
 def _box_walk(a, b):
     """Sum and agreement of two formal characters over the whole shared box."""
     window = min(a.window, b.window)

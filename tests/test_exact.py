@@ -4,7 +4,9 @@ solve is checked against the Leibniz formula and, with nullspace,
 hyperplanes and cramer_kit, against Gauss-Jordan elimination over Fraction
 (helpers.fraction_rref).  Entries reach 10**20, so a Bareiss division
 that was not exact would show.  residue_kit is checked against a brute
-force over two periods of its modulus.
+force over two periods of its modulus.  hermite_basis is checked for its
+echelon shape and, against the lattice functionals of helpers, for the
+group it generates.
 """
 
 import itertools
@@ -14,8 +16,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kquant._exact import cramer_kit, hyperplanes, nullspace, primitive, residue_kit, solve
-from helpers import fraction_nullspace, fraction_rref, fraction_solve
+from kquant._exact import (cramer_kit, hermite_basis, hyperplanes, nullspace, primitive,
+                           residue_kit, solve)
+from helpers import fraction_nullspace, fraction_rref, fraction_solve, lattice_tests
 
 BIG = 10 ** 20
 ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
@@ -78,6 +81,9 @@ def test_edge_cases():
     assert cramer_kit([(-3,), (2,)], 1) == ((0,), 3, ((-1,),))
     assert cramer_kit([(1, 1), (2, 2), (0, 1)], 2) == ((0, 2), 1, ((1, 0), (-1, 1)))
     assert residue_kit((), 5) == (5, 1, ()) and residue_kit((0, 0), 4) == (4, 1, (0, 0))
+    assert hermite_basis([], 2) == () and hermite_basis([(0, 0)], 2) == ()
+    assert hermite_basis([(2, 4), (0, 6), (1, 1)], 2) == ((1, 1), (0, 2))
+    assert hermite_basis([(0, -3, 6), (0, 2, -4)], 3) == ((0, 1, -2),)
     assert residue_kit((3,), 1) == (1, 1, (0,)) and residue_kit((-2, 3), 6) == (1, 6, (4, 1))
 
 
@@ -161,3 +167,27 @@ def test_residue_kit_predicts_the_solving_class(det, step, solvable, data):
     assert [a for a in range(2 * det) if solves(a)] == predicted
     if solvable:
         assert predicted
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda rank: st.tuples(
+    st.integers(0, 6).flatmap(lambda d: matrices(d, rank)), st.just(rank))))
+def test_hermite_basis_is_an_echelon_basis_of_the_same_group(case):
+    vectors, rank = case  # repeated, dependent and zero vectors included
+    basis = hermite_basis(vectors, rank)
+    pivots = [next(t for t, x in enumerate(b) if x) for b in basis]
+    assert all(p < q for p, q in zip(pivots, pivots[1:]))
+    for k, (b, p) in enumerate(zip(basis, pivots)):
+        assert len(b) == rank and b[p] > 0
+        assert all(0 <= a[p] < b[p] for a in basis[:k])  # reduced above each pivot
+    for v in vectors:  # an integer combination of the basis, solved pivot by pivot
+        rest = list(v)
+        for b, p in zip(basis, pivots):
+            q, r = divmod(rest[p], b[p])
+            assert r == 0, (v, basis)
+            rest = [x - q * y for x, y in zip(rest, b)]
+        assert not any(rest), (v, basis)
+    for b in basis:  # and the basis lies in the group of the vectors
+        for row, mod in lattice_tests(vectors, rank):
+            pairing = sum(map(int.__mul__, row, b))
+            assert not (pairing % mod if mod else pairing), (b, vectors)

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kquant as kq
-from helpers import (T1, fraction_nullspace, fraction_solve, glued_components,
+from helpers import (T1, box_counts, fraction_nullspace, fraction_solve, glued_components,
                      maximal_wall_normals, per_support_vertices, random_proper_model,
                      recursive_count)
 
@@ -296,9 +298,9 @@ def test_regular_flag_on_degenerate_models():
 
 
 def test_regular_columns_match_every_maximal_wall():
-    # the counter packs the hyperplanes spanned by rank - 1 weights, or reads
-    # the weights' span off its lattice rows when there are none ("thick
-    # only"); the reference tests every wall of rank - 1 distinct weights,
+    # the counter packs the hyperplanes spanned by rank - 1 weights, or the
+    # rows of a nullspace basis of the weights' span when there are none
+    # ("thick only"); the reference tests every wall of rank - 1 distinct weights,
     # the thick walls of dependent subsets too
     rng = random.Random(61)
     models = [random_proper_model(rng, max_d=6, max_r=4, entry=2, r=1 + i % 4)
@@ -316,7 +318,8 @@ def test_regular_columns_match_every_maximal_wall():
         assert (not m._counter.walls) == (sizes == {True}), m.to_dict()
         for window in range(4 if m.rank < 4 else 3):
             box = kq.dominant_window(m.datum, window)
-            regular, _ = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
+            ctr = kq.LinearModel.from_dict(m.to_dict())._counter
+            regular = ctr.regular([range(-window, window + 1)] * m.rank)
             assert regular == [all(any(sum(x * (g - c) for x, g, c in zip(n, gamma, m.shift))
                                        for n in wall) for wall in walls)
                                for gamma in box], (m.to_dict(), window)
@@ -352,8 +355,10 @@ def test_window_pass_matches_single_weight_counts():
         for window in range(5):
             box = list(kq.dominant_window(m.datum, window))
             single = [kq.reduction_multiplicity(m, g) for g in box]
-            # a fresh counter packs for this window first
-            regular, counts = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
+            # a fresh counter counts and packs for this window first
+            ctr = kq.LinearModel.from_dict(m.to_dict())._counter
+            counts = ctr.window(window)
+            regular = ctr.regular([range(-window, window + 1)] * m.rank)
             assert len(regular) == len(box), (m.to_dict(), window)
             assert all(type(r) is bool for r in regular)
             assert 0 not in counts.values(), (m.to_dict(), window)
@@ -472,8 +477,8 @@ def _outside_cone(m, target):
     return False
 
 
-def _no_count(self, gammas):
-    if gammas:
+def _no_count(self, j, ys, bs):
+    if bs:
         raise AssertionError("a target outside the cone reached the count")
     return []
 
@@ -501,7 +506,7 @@ def test_reduction_exact_for_huge_targets(monkeypatch):
         with monkeypatch.context() as patch:
             if m.weights and _exact_rank(m.weights) == m.rank:
                 # the supporting normals include every facet: no count
-                patch.setattr(lm._LatticeCounter, "_tally", _no_count)
+                patch.setattr(lm._LatticeCounter, "_level", _no_count)
             for gamma in itertools.product(big + (0, 1), repeat=m.rank):
                 target = [g - c for g, c in zip(gamma, m.shift)]
                 if not _outside_cone(m, target):
@@ -550,8 +555,8 @@ def test_window_counts_match_the_recursive_search():
         seen.add((min(levels, 3), period > 1))
         box = list(kq.dominant_window(m.datum, window))
         expected = {g: n for g in box if (n := recursive_count(m, g))}
-        # a fresh counter: the window pass packs first
-        _, counts = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
+        # a fresh counter: the window pass comes first
+        counts = kq.LinearModel.from_dict(m.to_dict())._counter.window(window)
         assert counts == expected, (m.to_dict(), window)
         for g in rng.sample(box, min(len(box), 25)):
             assert kq.reduction_multiplicity(m, g).count == expected.get(g, 0), (m.to_dict(), g)
@@ -567,6 +572,107 @@ def test_window_counts_match_the_recursive_search():
             if len(ws) == 3 and g - c > 10**22:
                 continue  # the reference would loop 10**12 times
             assert kq.reduction_multiplicity(m, (g,)).count == recursive_count(m, (g,)), (ws, g)
+
+
+def _box_reference(m, window):
+    """(regular, counts) of helpers.box_counts on the window, for a copy of m."""
+    return box_counts(kq.LinearModel.from_dict(m.to_dict()), [range(-window, window + 1)] * m.rank)
+
+
+def _thin_model(rng, r):
+    """A proper rank-r model whose weights span less than the whole space.
+
+    The weights are small combinations of k < r random vectors, sometimes
+    scaled by 2 or 3, so the group they generate may have index > 1 in
+    its span; the vectors may themselves be dependent.
+    """
+    while True:
+        k = rng.randint(1, r - 1)
+        base = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(k)]
+        scale = rng.choice((1, 1, 2, 3))
+        ws = [tuple(scale * sum(rng.randint(-1, 2) * b[t] for b in base) for t in range(r))
+              for _ in range(rng.randint(1, 4))]
+        m = kq.linear_model([w for w in ws if any(w)],
+                            tuple(rng.randint(-3, 3) for _ in range(r)))
+        if m.weights and kq.check_proper(m):
+            return m
+
+
+def test_target_enumeration_matches_the_box_pass():
+    # the counter enumerates c + L inside the box and the cone; the box
+    # reference pairs every point with the walls and the lattice functionals
+    rng = random.Random(73)
+    corpus = []
+    for i in range(60):
+        r = 1 + i % 5
+        corpus.append((random_proper_model(rng, max_d=6, max_r=5, entry=3, r=r),
+                       i % 7 if r < 5 else i % 5))
+    corpus += [(_thin_model(rng, 2 + i % 4), i % 6 if i % 4 < 3 else i % 5) for i in range(24)]
+    corpus += [(kq.linear_model(w, c), 4) for w, c in _DEPENDENT_TAIL + _DEGENERATE]
+    corpus += [(kq.linear_model([], c), w) for c in ((1, -1, 0), (0, 1), (2,), (4, 0))
+               for w in (0, 2, 3)]
+    seen = set()
+    for m, window in corpus:
+        regular, counts = _box_reference(m, window)
+        ctr = kq.LinearModel.from_dict(m.to_dict())._counter
+        assert ctr.window(window) == counts, (m.to_dict(), window)
+        assert ctr.regular([range(-window, window + 1)] * m.rank) == regular, (m.to_dict(), window)
+        span = _exact_rank(m.weights) if m.weights else 0
+        seen.add(("thin" if span < m.rank else "full", bool(ctr.steps), bool(counts)))
+    assert {(kind, looped, True) for kind in ("thin", "full") for looped in (False, True)} <= seen
+
+
+@st.composite
+def _proper_models(draw):
+    """Rank 1-4, 1-5 weights in [-3, 3]: each weight turned to pair > 0 with a drawn xi."""
+    r = draw(st.integers(1, 4))
+    entries = st.tuples(*[st.integers(-3, 3)] * r)
+    xi = draw(entries.filter(any))
+    pair = lambda w: sum(map(mul, w, xi))
+    ws = draw(st.lists(entries.filter(pair), min_size=1, max_size=5))
+    return kq.linear_model([w if pair(w) > 0 else tuple(-x for x in w) for w in ws], draw(entries))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_proper_models(), st.integers(0, 4))
+def test_qr_holds_on_random_models(m, window):
+    rep = kq.verify_qr(m, window)
+    assert rep.verdict is True
+    assert rep.counts == _box_reference(m, window)[1]
+
+
+def _refuse(*args):
+    raise AssertionError("the regular column was built")
+
+
+def test_regular_column_is_built_only_when_rows_are_read(monkeypatch):
+    from kquant import linear_models as lm
+
+    rng = random.Random(79)
+    models = [random_proper_model(rng, max_d=5, max_r=3, entry=3, r=1 + i % 3) for i in range(12)]
+    models += [kq.linear_model(w, c) for w, c in _DEGENERATE[::3]]
+    models += [kq.linear_model([], (1, -1)), _thin_model(rng, 3)]
+    low = lambda b: "true" if b else "false"
+    for m in models:
+        for window in (0, 1, 3):
+            regular, counts = _box_reference(m, window)
+            with monkeypatch.context() as patch:
+                patch.setattr(lm._LatticeCounter, "regular", _refuse)
+                rep = kq.verify_qr(kq.LinearModel.from_dict(m.to_dict()), window)
+                assert rep.verdict is True and rep.counts == counts, (m.to_dict(), window)
+            # the rows the box pass gives, byte for byte
+            box = list(kq.dominant_window(m.datum, window))
+            cells = [(g, rep.series.get(g, 0), counts.get(g, 0), r) for g, r in zip(box, regular)]
+            rows = [{"gamma": list(g), "q_top": a, "q_red": b, "regular": r, "match": a == b}
+                    for g, a, b, r in cells]
+            doc = {"model": m.to_dict(), "window": window, "verdict": True, "rows": rows}
+            assert json.dumps(rep.to_dict()) == json.dumps(doc), (m.to_dict(), window)
+            assert rep.table() == "\n".join(
+                ["gamma\tq_top\tq_red\tregular\tmatch"]
+                + [f"{list(g)}\t{a}\t{b}\t{low(r)}\t{low(a == b)}" for g, a, b, r in cells]
+                + ["verdict\ttrue"])
+            assert [tuple(kq.reduction_multiplicity(m, g)) for g in box] == \
+                [(b, r) for _, _, b, r in cells], (m.to_dict(), window)
 
 
 def test_separation_lives_on_the_model(monkeypatch):
