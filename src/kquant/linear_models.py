@@ -17,7 +17,8 @@ Two independent routes compute the same invariant:
   visited: the points gamma of c + L, L the group the weights generate,
   that lie in the box and the cone of the weights, enumerated coordinate
   by coordinate on an echelon basis of L, with the box and the normals
-  that support the cone bounding each coefficient in closed form.  They
+  that support the cone bounding each coefficient in closed form (a
+  single gamma is solved on that basis instead).  They
   are counted together as columns, in one list pass per loop level and
   coefficient and the last level in closed form (independent weights
   need none).  Regularity (gamma - c on no wall) is one pairing of gamma
@@ -200,11 +201,14 @@ def model_cycle(m: LinearModel) -> DiscreteKCycle:
     The origin carries fiber t^shift and, in the contribution
     convention of the localization engine, tangent weights equal to the
     negated action weights, so its polarized expansion at the Farkas
-    vector is exactly t^c prod (1 - t^{w_j})^{-1}.
+    vector is exactly t^c prod (1 - t^{w_j})^{-1}.  The model's weights
+    and shift are checked when it is built, so the point and the cycle
+    are built trusted (FixedPointDatum._trusted, DiscreteKCycle._trusted),
+    without checking them again.
     """
-    pt = FixedPointDatum(tuple(neg(w) for w in m.weights),
-                         WeightPolynomial.monomial(m.shift))
-    return DiscreteKCycle(m.datum, ((1, ClosedComponent("C^d", (pt,))),))
+    pt = FixedPointDatum._trusted(tuple(neg(w) for w in m.weights),
+                                  WeightPolynomial.monomial(m.shift))
+    return DiscreteKCycle._trusted(m.datum, ((1, ClosedComponent("C^d", (pt,))),))
 
 
 def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:
@@ -243,7 +247,8 @@ class _LatticeCounter:
     Farkas vector.  `basis` holds the echelon basis b_0, b_1, ... of L
     (_exact.hermite_basis, flat, as walls): b_k is zero before its pivot
     row and positive there, pivots increasing.  _targets enumerates gamma
-    = c + sum x_k b_k in the box level by level.  Every tracked row (the
+    = c + sum x_k b_k in the box level by level; _count solves one gamma
+    - c on the basis pivot by pivot.  Every tracked row (the
     coordinates of gamma, the fields the count reads, that is <xi, gamma
     - c> and the `leaf` rows, and the cone rows) is an affine column,
     stepped by its pairing with b_k, its image.  A row is final once the
@@ -294,17 +299,37 @@ class _LatticeCounter:
         return [self.basis[i:i + r] for i in range(0, len(self.basis), r)]
 
     def count(self, gamma) -> ReductionCount:
-        return ReductionCount(self._counts(gamma, gamma).get(gamma, 0),
-                              self.regular([(g,) for g in gamma])[0])
+        return ReductionCount(self._count(gamma), self.regular([(g,) for g in gamma])[0])
+
+    def _count(self, gamma) -> int:
+        """The count at one gamma: the window pass's tests and count on one target.
+
+        gamma - c is solved on the echelon basis pivot by pivot, each
+        coefficient one division by a positive pivot.  No later basis
+        vector moves that pivot's row, so gamma is off c + L exactly when
+        some row keeps a remainder at the end.  A target that also passes
+        the cone rows (see the class docstring) counts 1 when no weight is
+        looped, and otherwise as one column of _level.
+        """
+        t = [g - c for g, c in zip(gamma, self.shift)]
+        y = t
+        for b in self._vectors():
+            p = next(i for i, x in enumerate(b) if x)
+            q = y[p] // b[p]
+            y = [v - q * e for v, e in zip(y, b)]
+        if any(y):
+            return 0
+        if not self.steps:
+            return int(all(dot(row, t) >= 0 for row in self.leaf))
+        if dot(self.xi, t) < 0 or any(dot(n, t) < 0 for *n, _, supporting in self.walls
+                                      if supporting):
+            return 0
+        return self._level(0, [[dot(row, t)] for row in self.leaf], [dot(self.xi, t)])[0]
 
     def window(self, w) -> dict:
-        """The nonzero counts on [-w, w]^rank; see _counts."""
-        return self._counts((-w,) * len(self.shift), (w,) * len(self.shift))
-
-    def _counts(self, los, his) -> dict:
-        """{gamma: count} for each gamma of the box prod [lo_t, hi_t] with a nonzero count."""
+        """{gamma: count} for each gamma of [-w, w]^rank with a nonzero count."""
         r = len(self.shift)
-        cols = self._targets(los, his)
+        cols = self._targets(w)
         if len(self.steps) > 1 and cols:  # _level reads the budgets in decreasing order
             order = sorted(range(len(cols[r])), key=cols[r].__getitem__, reverse=True)
             cols = [[col[i] for i in order] for col in cols]
@@ -315,8 +340,8 @@ class _LatticeCounter:
         del cols  # the coordinate columns, freed so they add nothing to the count's peak memory
         return {g: n for g, n in zip(gammas, self._level(0, ys, bs)) if n}
 
-    def _targets(self, los, his) -> list:
-        """The columns of the targets in the box: the coordinates of gamma, then xi and leaf.
+    def _targets(self, w) -> list:
+        """The columns of the targets in [-w, w]^rank: the coordinates of gamma, then xi and leaf.
 
         The targets are enumerated level by level (see the class docstring):
         a column holds one value per partial point, and level k keeps of each
@@ -332,7 +357,7 @@ class _LatticeCounter:
         vectors = self._vectors()
         images = [(*b, *(sum(map(mul, row, b)) for row in rows)) for b in vectors]
         final = [[] for _ in vectors]  # the bounded rows that b_k is the last to move
-        for q, lo, hi in (*zip(range(r), los, his), *((q, 0, None) for q in cone)):
+        for q, lo, hi in (*((q, -w, w) for q in range(r)), *((q, 0, None) for q in cone)):
             k = len(vectors)
             while k and not images[k - 1][q]:
                 k -= 1
@@ -430,10 +455,11 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
 
     Counts #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}; gamma is regular
     iff gamma - c avoids every wall spanned by fewer than rank weights
-    (tested on the maximal walls, by one packed pairing).  The count is
-    the window pass of verify_qr on the one-point box: gamma is a target
-    only if gamma - c is in the group the weights generate and pairs >= 0
-    with the normals that support their cone (else the count is 0); then
+    (tested on the maximal walls, by one packed pairing).  The count
+    makes the window pass's tests on gamma alone: gamma is a target only
+    if gamma - c is in the group the weights generate (solved on its
+    echelon basis) and pairs >= 0 with the normals that support their
+    cone (else the count is 0); then
     the count loops the weights outside a greedy basis of their span but
     the last, bounded by the Farkas vector (a_j <= <gamma-c, xi> / <w_j,
     xi>), takes the last one's coefficient from one residue class in

@@ -26,7 +26,11 @@ r coordinates and then one field per guard functional (a linear bound
 that a term able to reach the box cannot exceed; phi and -phi share a
 field).  Every field is linear in the term, so a series step is one
 integer addition, the pairing cap one comparison and a guard pairing
-one shift and mask.
+one shift and mask.  The guard table is built in one pass over the
+distinct normals: each is paired with the series directions once, and
+that one list gives both its guards, phi and -phi, and its column of
+every direction's packed stride.  A point with fewer than two factors
+computes no normals but the coordinates, as only their guards act there.
 
 Orbifold orders m > 1 are handled by exact cyclic averaging along the
 diagonal circle: only terms whose coordinate sum is divisible by m
@@ -40,6 +44,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lshift, mul
 
 from ._exact import hyperplanes, nullspace, primitive
 from .characters import FormalCharacter, WeightPolynomial, exact_divide
@@ -78,6 +83,15 @@ class FixedPointDatum:
         object.__setattr__(self, "orbifold_order", as_int(self.orbifold_order))
         if self.orbifold_order < 1:
             raise ValueError(f"orbifold order must be >= 1, got {self.orbifold_order}")
+
+    @staticmethod
+    def _trusted(tangent_weights: tuple, fiber_character: WeightPolynomial) -> "FixedPointDatum":
+        """A point of order 1 from checked data: a tuple of nonzero weight
+        tuples and a nonzero WeightPolynomial; no check is repeated."""
+        p = object.__new__(FixedPointDatum)
+        p.__dict__.update(tangent_weights=tangent_weights, fiber_character=fiber_character,
+                          orbifold_order=1)
+        return p
 
     def to_dict(self):
         return {"tangent": [list(w) for w in self.tangent_weights],
@@ -152,6 +166,15 @@ class DiscreteKCycle:
             for w in p.fiber_character.terms:
                 self.datum.check_weight(w)
         return sign, comp
+
+    @staticmethod
+    def _trusted(datum: RootDatum, components: tuple) -> "DiscreteKCycle":
+        """A finite cycle of checked (sign, component) pairs: signs +-1 and
+        weights that fit the datum; no check is repeated."""
+        k = object.__new__(DiscreteKCycle)
+        k.__dict__.update(datum=datum, components=components, family=None,
+                          enumeration_bound=None)
+        return k
 
     @property
     def is_finite(self) -> bool:
@@ -277,12 +300,19 @@ def closed_sum(k: DiscreteKCycle) -> WeightPolynomial:
 
 
 def normalize_polarization(xi) -> tuple:
-    """Scale a rational polarization to a primitive integer vector."""
-    fr = [Fraction(x) for x in xi]
-    if not any(fr):
+    """Scale a rational polarization to a primitive integer vector.
+
+    A vector of ints is divided by its gcd directly; anything else (bools,
+    Fractions, floats) is first cleared of denominators through Fraction.
+    """
+    xi = tuple(xi)
+    if not all(type(x) is int for x in xi):
+        fr = [Fraction(x) for x in xi]
+        den = math.lcm(*(f.denominator for f in fr))
+        xi = [f.numerator * (den // f.denominator) for f in fr]
+    if not any(xi):
         raise DegeneratePolarization("polarization vector is zero")
-    den = math.lcm(*(f.denominator for f in fr))
-    return primitive([f.numerator * (den // f.denominator) for f in fr])
+    return primitive(xi)
 
 
 def auto_polarization(*cycles: DiscreteKCycle) -> tuple:
@@ -316,22 +346,58 @@ def _extraction_points(datum: RootDatum, window: int):
 
 
 def _window_guards(dirs, rank, box):
-    """Linear guards that certified box terms can never violate.
+    """The guard table of a point: (keys, pairs, active), in one pass over the normals.
 
     A partial product term u can still contribute to a term of the box
     [-box, box]^r only if some gamma in the box differs from u by a
     nonnegative combination of the remaining series directions.  Any
     functional phi that is nonnegative on those directions therefore
     forces <u, phi> <= max over the box of <gamma, phi>, which is box *
-    sum |phi_i| in closed form.  Candidates come from hyperplanes spanned
-    by rank - 1 directions (_exact.hyperplanes), from the annihilator of
-    the whole direction span, and from coordinate functionals; validity
-    against a concrete suffix is re-checked by the caller before use.
+    sum |phi_i| in closed form, the same for phi and -phi.  The normals
+    are the coordinate functionals e_t, then, for two factors or more, the
+    annihilator of the direction span and the hyperplanes spanned by
+    rank - 1 directions (_exact.hyperplanes); with fewer only the
+    coordinate guards can act (see below).
+
+    Each normal (first nonzero entry positive) is paired with the
+    directions once, and both of its guards are read off that one list:
+    key is valid on factor j when it pairs >= 0 with every later
+    direction, so from the factor of its last negative pairing on, and
+    -key from that of its last positive one.  On the last factor only the
+    coordinate guards act: they alone cut k to exactly the box (no other
+    guard cuts a box point).  keys lists the normals with a guard valid
+    somewhere (the coordinates always, first), one packed field each,
+    pairs[f] the pairings of keys[f] with the directions, and active[j]
+    the guards of factor j as (f, flip, bound), flip when the guard is
+    -keys[f].
     """
-    phis = {*nullspace(dirs, rank), *hyperplanes(dirs, rank)}
-    phis.update(tuple(int(i == t) for i in range(rank)) for t in range(rank))
-    cands = sorted(phis | {neg(phi) for phi in phis})  # both signs of each
-    return [(phi, box * sum(map(abs, phi))) for phi in cands]
+    nfac = len(dirs)
+    coords = [tuple(int(i == t) for i in range(rank)) for t in range(rank)]
+    spans = set()  # rank 1 has no normal but e_0
+    if nfac > 1 and rank > 1:
+        spans = {*nullspace(dirs, rank), *hyperplanes(dirs, rank)}.difference(coords)
+    keys, pairs, active = [], [], [[] for _ in dirs]
+    for n, key in enumerate(coords + sorted(spans)):
+        if n < rank:
+            ps, end = [d[n] for d in dirs], nfac
+        else:
+            ps, end = [sum(map(mul, d, key)) for d in dirs], nfac - 1
+        plus = minus = 0  # the last factors that key pairs < 0 and > 0 with
+        for j, x in enumerate(ps):
+            if x < 0:
+                plus = j
+            elif x > 0:
+                minus = j
+        if n >= rank and plus >= end and minus >= end:
+            continue
+        f, b = len(keys), box * sum(map(abs, key))
+        keys.append(key)
+        pairs.append(ps)
+        for j in range(plus, end):
+            active[j].append((f, False, b))
+        for j in range(minus, end):
+            active[j].append((f, True, b))
+    return keys, pairs, active
 
 
 def _expand_point(p: FixedPointDatum, xi, maxpair, box):
@@ -354,6 +420,11 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
     pairing cap a single comparison and a guard pairing a shift and a
     mask.  A field is wide enough for the largest L1 norm of a packed
     functional times the largest coordinate a partial term can reach.
+    The guard table (_window_guards) lists the fields and the pairing of
+    each field's key with each direction, so a direction's stride is
+    packed from its column of the table and no pairing is computed twice.
+    The terms left after the last factor are read out one coordinate
+    field at a time, as columns.
     """
     rank = len(xi)
     fiber = p.fiber_character.terms
@@ -371,56 +442,34 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
     if not steps:
         fiber = {v: c for v, c in fiber.items() if sup_norm(v) <= box}
     dirs = [neg(w) if pw < 0 else w for w, pw in steps]
-    nfac = len(steps)
-
-    # guard table, once per point: guard phi is valid on factor j when it
-    # is nonnegative on every later direction, so it stays valid from the
-    # factor of its last negative pairing on.  On the last factor only the
-    # coordinate guards act: they alone cut k to exactly the box (no
-    # other guard cuts a box point)
-    funcs = [tuple(int(i == t) for i in range(rank)) for t in range(rank)]
-    field = {f: t for t, f in enumerate(funcs)}
-    active = [[] for _ in dirs]
-    for phi, b in _window_guards(dirs, rank, box):
-        pairs = [dot(d, phi) for d in dirs]
-        start = max((j for j, s in enumerate(pairs) if s < 0), default=0)
-        end = nfac if phi.count(0) == rank - 1 else nfac - 1
-        if start >= end:
-            continue
-        flip = next(filter(None, phi)) < 0  # phi is minus its field's key
-        key = neg(phi) if flip else phi
-        if key not in field:
-            field[key] = len(funcs)
-            funcs.append(key)
-        for j in range(start, end):
-            active[j].append((field[key], flip, b, pairs[j]))
+    keys, pairs, active = _window_guards(dirs, rank, box)
 
     # field width: every coordinate a partial term can reach (the box is
     # never packed), times the largest L1 norm of a packed functional
     big = max((abs(c) for v in fiber for c in v), default=0)
     growth = sum((budget0 // abs(pw)) * max(abs(c) for c in w)
                  for w, pw in steps)
-    norm = max(sum(map(abs, f)) for f in funcs)
+    norm = max(sum(map(abs, f)) for f in keys)
     width = (norm * (big + growth)).bit_length() + 1
     half = 1 << (width - 1)
     mask = (1 << width) - 1
-    shift = 1 << (width * len(funcs))
-    bias = sum(half << (i * width) for i in range(len(funcs)))
+    offsets = range(0, width * len(keys), width)
+    shift = 1 << offsets.stop
+    bias = half * ((shift - 1) // mask)  # (shift - 1) // mask is 1 in every field
     bias2 = 2 * bias
     cap = (maxpair + 1) * shift  # a term pairs at most maxpair iff u < cap
 
-    def lin(v):
-        return dot(v, xi) * shift + sum(dot(v, f) << (i * width)
-                                        for i, f in enumerate(funcs))
-
+    # a direction's stride packs its column of the guard table's pairings
+    strides = [abs(pw) * shift + sum(map(lshift, col, offsets))
+               for (_, pw), col in zip(steps, zip(*pairs))]
     cur = {}
     for v, c in fiber.items():
-        u = lin(v) + bias
+        u = dot(v, xi) * shift + bias + sum(map(lshift, [dot(v, key) for key in keys], offsets))
         cur[u] = cur.get(u, 0) + c
     for j, (w, pw) in enumerate(steps):
         if not cur:
             return {}
-        stride = lin(dirs[j])
+        stride = strides[j]
         # (1 - t^{-w})^{-1} = sum_{k>=0} t^{-kw} when pw < 0, and
         # -t^w (1 - t^w)^{-1} = -sum_{k>=1} t^{kw} when pw > 0: either way
         # step k adds k * dirs[j], whose pairing |pw| is positive
@@ -432,7 +481,8 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
         # is b + half minus one field read: of u when phi is the field's
         # key, of the negated term when phi is its negative
         ups, downs, flat = [], [], []
-        for f, flip, b, step in active[j]:
+        for f, flip, b in active[j]:
+            step = -pairs[f][j] if flip else pairs[f][j]
             g = (flip, f * width, b + half)
             if step > 0:
                 ups.append(g + (step,))
@@ -470,15 +520,12 @@ def _expand_point(p: FixedPointDatum, xi, maxpair, box):
                     del nxt[u]
                 u += stride
         cur = nxt
+    # read out one coordinate column at a time
+    vs = zip(*[[((u >> sh) & mask) - half for u in cur] for sh in offsets[:rank]])
     m = p.orbifold_order
-    shifts = [t * width for t in range(rank)]
-    out = {}
-    for u, c in cur.items():
-        v = tuple([((u >> sh) & mask) - half for sh in shifts])
-        if m > 1 and sum(v) % m:
-            continue
-        out[v] = c
-    return out
+    if m > 1:
+        return {v: c for v, c in zip(vs, cur.values()) if not sum(v) % m}
+    return dict(zip(vs, cur.values()))
 
 
 def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
@@ -495,6 +542,9 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
     type A it is the smallest box holding every point of the extraction
     plan, whose alternating sums give the multiplicities.  maxpair is the
     largest pairing of a box point (torus) or of a plan point (type A).
+    The first point's terms, negated for a component of sign -1, seed the
+    sum that every later point's terms are added to; a coefficient that
+    cancels to 0 is dropped.
     """
     window = as_int(window)
     if window < 0:
@@ -513,18 +563,24 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
         pts = [pt for rows in plan.values() for pt, _ in rows]
         box = max(map(sup_norm, pts))
         maxpair = max(dot(pt, xi) for pt in pts)
-    acc = {}
+    acc = None  # the first point's terms, then their running sum
     for sign, comp in k.iter_certified(xi, maxpair):
         if not datum.is_torus and any(p.orbifold_order > 1 for p in comp.fixed_points):
             raise OrbifoldAveragingUnsupported(
                 "orbifold averaging outside a torus lattice is not expressible")
         for p in comp.fixed_points:
-            for v, c in _expand_point(p, xi, maxpair, box).items():
+            terms = _expand_point(p, xi, maxpair, box)
+            if acc is None:
+                acc = terms if sign == 1 else {v: -c for v, c in terms.items()}
+                continue
+            for v, c in terms.items():
                 cc = acc.get(v, 0) + sign * c
                 if cc:
                     acc[v] = cc
                 else:
                     del acc[v]
+    if acc is None:
+        acc = {}
     coeffs = acc
     if not datum.is_torus:
         coeffs = {}

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import kquant as kq
 from helpers import (T1, box_counts, fraction_nullspace, fraction_solve, glued_components,
-                     maximal_wall_normals, per_support_vertices, random_proper_model,
-                     recursive_count)
+                     lattice_tests, maximal_wall_normals, per_support_vertices,
+                     random_proper_model, recursive_count)
 
 WP = kq.WeightPolynomial
 
@@ -69,6 +69,54 @@ def test_model_cycle_shape():
     p, = comp.fixed_points
     assert p.tangent_weights == ((-1, 0), (-1, -1))
     assert p.fiber_character == WP.monomial((2, -1))
+
+
+def test_model_cycle_is_the_checked_construction():
+    rng = random.Random(71)
+    for _ in range(60):
+        m = random_proper_model(rng, max_d=5, max_r=4)
+        pt = kq.FixedPointDatum(tuple(tuple(-x for x in w) for w in m.weights),
+                                WP.monomial(m.shift))
+        checked = kq.DiscreteKCycle(m.datum, ((1, kq.ClosedComponent("C^d", (pt,))),))
+        assert kq.model_cycle(m) == checked, m.to_dict()
+
+
+# the checked point constructors, which the trusted model point bypasses
+_POINT_REJECTS = """
+import sys
+import kquant as kq
+WP = kq.WeightPolynomial
+fiber = [{"weight": [0, 1], "mult": 1}]
+cases = [
+    (kq.NonIsolatedFixedPoint, lambda: kq.FixedPointDatum(((1, 0), (0, 0)), WP.monomial((0, 1)))),
+    (kq.NonIsolatedFixedPoint,
+     lambda: kq.FixedPointDatum.from_dict({"tangent": [[1, 0], [0, 0]], "fiber": fiber})),
+    (TypeError, lambda: kq.FixedPointDatum(((1, True),), WP.monomial((0, 1)))),
+    (TypeError, lambda: kq.FixedPointDatum.from_dict({"tangent": [[False, 1]], "fiber": fiber})),
+    (TypeError, lambda: kq.FixedPointDatum.from_dict(
+        {"tangent": [[1, 0]], "fiber": [{"weight": [True, 0], "mult": 1}]})),
+    (TypeError, lambda: kq.FixedPointDatum.from_dict(
+        {"tangent": [[1, 0]], "fiber": [{"weight": [0, 1], "mult": True}]})),
+]
+for n, (exc, make) in enumerate(cases):
+    try:
+        make()
+    except exc:
+        continue
+    sys.exit(f"case {n} was accepted")
+print(f"{len(cases)} rejected")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_checked_points_reject_zero_and_bool_entries(flags):
+    script = ("assert False, 'asserts are live'\n" if flags else "") + _POINT_REJECTS
+    src = str(Path(kq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "6 rejected"
 
 
 def test_quantization_single_weight():
@@ -561,6 +609,22 @@ def test_window_counts_match_the_recursive_search():
         for g in rng.sample(box, min(len(box), 25)):
             assert kq.reduction_multiplicity(m, g).count == expected.get(g, 0), (m.to_dict(), g)
     assert {(3, True), (2, True), (1, True), (0, False)} <= seen
+    # single points off c + L, outside the cone, or both, in and beyond the
+    # windows: the one-point count rejects them as the search does
+    kinds = set()
+    for m, _ in corpus:
+        tests = lattice_tests(m.weights, m.rank)
+        for _ in range(12):
+            g = tuple(rng.randint(-9, 9) for _ in range(m.rank))
+            target = tuple(a - c for a, c in zip(g, m.shift))
+            off = any(sum(map(mul, n, target)) % mod if mod else sum(map(mul, n, target))
+                      for n, mod in tests)
+            outside = m.rank < 4 and _outside_cone(m, target)
+            kinds.add((off, outside))
+            n = kq.reduction_multiplicity(m, g).count
+            assert n == recursive_count(m, g), (m.to_dict(), g)
+            assert not n or not (off or outside), (m.to_dict(), g)
+    assert {(True, False), (False, True), (True, True), (False, False)} <= kinds
     # huge targets of rank-1 models with one or two loop levels: the outer
     # weights are huge too, so the reference's outer loop stays short
     big = (10**30, -10**30, 2**63 - 1, 2**63 + 1, -(2**63 + 1), 10**20 + 3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import kquant as kq
 from kquant.localization import _expand_point
-from helpers import (T1, T2, all_points_closed_index, lazy_disk_family,
+from helpers import (T1, T2, all_points_closed_index, axis_sphere, lazy_disk_family,
                      random_closed_cycle_t1, random_closed_cycle_t2,
                      random_torus_component)
 
@@ -316,8 +316,7 @@ def test_family_serialization_materializes():
 
 
 def test_torus_guard_bound_is_the_box_maximum():
-    import itertools
-
+    from kquant._exact import hyperplanes, nullspace
     from kquant.localization import _window_guards
 
     rng = random.Random(43)
@@ -328,11 +327,30 @@ def test_torus_guard_bound_is_the_box_maximum():
                 for _ in range(rng.randint(1, 4))]
         dirs = [d for d in dirs if any(d)] or [(1,) * rank]
         box = list(itertools.product(range(-window, window + 1), repeat=rank))
-        guards = _window_guards(dirs, rank, window)
-        assert guards
-        # each closed-form bound is the maximum of <v, phi> over the box
-        for phi, b in guards:
-            assert b == max(sum(x * y for x, y in zip(v, phi)) for v in box)
+        keys, pairs, active = _window_guards(dirs, rank, window)
+        assert active[-1]
+        got = set()
+        for j, guards in enumerate(active):
+            for f, flip, b in guards:
+                phi = tuple(-x for x in keys[f]) if flip else keys[f]
+                assert pairs[f] == [_pairing(d, keys[f]) for d in dirs]
+                # each closed-form bound is the maximum of <v, phi> over the
+                # box, for phi and -phi alike (the two share a field)
+                assert b == max(_pairing(v, phi) for v in box)
+                assert b == max(-_pairing(v, phi) for v in box)
+                got.add((j, phi))
+        # every candidate normal's guard acts exactly where it is valid: on
+        # factor j iff it pairs >= 0 with every later direction, before the
+        # last factor, where only the coordinate guards act
+        coords = {tuple(int(i == t) for i in range(rank)) for t in range(rank)}
+        cands = coords | {*nullspace(dirs, rank), *hyperplanes(dirs, rank)}
+        expected = set()
+        for key in cands:
+            for phi in (key, tuple(-x for x in key)):
+                end = len(dirs) if key in coords else len(dirs) - 1
+                expected |= {(j, phi) for j in range(end)
+                             if all(_pairing(d, phi) >= 0 for d in dirs[j + 1:])}
+        assert got == expected
 
 
 def _pairing(v, xi):
@@ -478,6 +496,14 @@ def polarized_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(polarized_cases())
+# the first point's terms seed the sum: a first component of sign -1, and
+# components that cancel exactly
+@example((kq.DiscreteKCycle(T1, ((-1, kq.o_sphere(2)), (1, kq.f_sphere(1)))), 3, (1,)))
+@example((kq.DiscreteKCycle(T2, ((-1, axis_sphere(0, "o", 2)), (1, axis_sphere(1, "f", -1)))),
+          2, (1, 3)))
+@example((kq.DiscreteKCycle(T1, ((1, kq.o_sphere(2)), (-1, kq.o_sphere(2)))), 3, (1,)))
 def test_closed_and_polarized_routes_agree_under_random_polarizations(case):
     k, window, xi = case
-    assert kq.polarized_index(k, xi, window).coeffs == kq.character_window(k, window).coeffs
+    got = kq.polarized_index(k, xi, window).coeffs
+    assert got == kq.character_window(k, window).coeffs
+    assert 0 not in got.values()
