@@ -20,8 +20,8 @@ by term).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import NotDominant, NotInvariant, WindowExhausted
 from .root_data import (RootDatum, add, as_int, as_weight, is_dominant, neg,
                         signed_orbit_with_images, simple_reflection, sub, sup_norm)
@@ -251,15 +251,14 @@ def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
     return Character(datum, mults)
 
 
-@dataclass
-class Character:
+class Character(Record):
     """Finite virtual character: dominant highest weight -> multiplicity."""
 
-    datum: RootDatum
-    mults: dict = field(default_factory=dict)
+    _fields = ("datum", "mults")
 
-    def __post_init__(self):
-        self.mults = _checked(self.mults, self._key)
+    def __init__(self, datum: RootDatum, mults=()):
+        self.datum = datum
+        self.mults = _checked(mults, self._key)
 
     def _key(self, w):
         w = self.datum.check_weight(w)
@@ -315,8 +314,7 @@ def char_product(a: Character, b: Character) -> Character:
     return decompose(a.datum, a.weight_polynomial() * b.weight_polynomial())
 
 
-@dataclass
-class FormalCharacter:
+class FormalCharacter(Record):
     """Window truncation of an element of the character completion.
 
     Multiplicities of irreducibles are exact for every dominant weight
@@ -326,15 +324,14 @@ class FormalCharacter:
     keys it has already cut to the window skip those checks (_trusted).
     """
 
-    datum: RootDatum
-    window: int
-    coeffs: dict = field(default_factory=dict)
+    _fields = ("datum", "window", "coeffs")
 
-    def __post_init__(self):
-        self.window = as_int(self.window)
+    def __init__(self, datum: RootDatum, window: int, coeffs=()):
+        self.datum = datum
+        self.window = as_int(window)
         if self.window < 0:
             raise WindowExhausted(f"window {self.window} is empty")
-        self.coeffs = _checked(self.coeffs, self._key)
+        self.coeffs = _checked(coeffs, self._key)
 
     def _key(self, w):
         w = self.datum.check_weight(w)

@@ -60,13 +60,13 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg as negative
 from typing import NamedTuple
 
 from ._exact import (cramer_kit, hermite_basis, hyperplanes, nullspace,
                      residue_kit, solve)
+from ._record import FrozenRecord, Record
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
                      WindowExhausted)
@@ -76,24 +76,20 @@ from .root_data import (RootDatum, build_root_datum, dominant_window,
                         dot, neg, sub)
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(FrozenRecord):
     """Torus rank, nonzero action weights, and moment map shift."""
 
-    datum: RootDatum
-    weights: tuple
-    shift: tuple
+    _fields = ("datum", "weights", "shift")
 
-    def __post_init__(self):
+    def __init__(self, datum: RootDatum, weights: tuple, shift: tuple):
         # C^d under a torus: the lattice count reads the torus lattice
-        if not self.datum.is_torus:
+        if not datum.is_torus:
             raise ValueError("linear models are defined over torus data")
-        ws = tuple(self.datum.check_weight(w) for w in self.weights)
+        ws = tuple(datum.check_weight(w) for w in weights)
         for w in ws:
             if not any(w):
                 raise ValueError("action weights must be nonzero")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "shift", self.datum.check_weight(self.shift))
+        self.__dict__.update(datum=datum, weights=ws, shift=datum.check_weight(shift))
 
     @property
     def rank(self):
@@ -240,7 +236,9 @@ class _LatticeCounter:
     the lowest bits).  With no such hyperplane the one wall is the
     weights' span: gamma is singular iff every row of a nullspace basis
     of the span vanishes on gamma - c, that is iff the packed sum is
-    exactly its bias.  No slot changes after __init__.
+    exactly its bias.  count makes the same test at its one gamma by
+    pairing it with each wall, with no fields to pack.  No slot changes
+    after __init__.
 
     Targets.  A nonzero count needs gamma - c in the group L the weights
     generate, and <n, gamma - c> >= 0 for the supporting normals and the
@@ -299,7 +297,13 @@ class _LatticeCounter:
         return [self.basis[i:i + r] for i in range(0, len(self.basis), r)]
 
     def count(self, gamma) -> ReductionCount:
-        return ReductionCount(self._count(gamma), self.regular([(g,) for g in gamma])[0])
+        """(count, regular) at one gamma; regular pairs gamma with the walls directly."""
+        if self.walls:
+            regular = all(dot(n, gamma) != nc for *n, nc, _ in self.walls)
+        else:
+            t = [g - c for g, c in zip(gamma, self.shift)]
+            regular = any(dot(n, t) for n in nullspace(self._vectors(), len(t)))
+        return ReductionCount(self._count(gamma), regular)
 
     def _count(self, gamma) -> int:
         """The count at one gamma: the window pass's tests and count on one target.
@@ -471,8 +475,7 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
 
 # ------------------------------------------------------------- vanishing
 
-@dataclass(frozen=True)
-class VanishingComponent:
+class VanishingComponent(FrozenRecord):
     """One connected component of the moment-flow zero set.
 
     support lists the coordinates allowed to be nonzero (the union of
@@ -481,12 +484,12 @@ class VanishingComponent:
     the component, with value mu_value and exact diameter mu_diameter.
     """
 
-    support: tuple
-    strata: tuple
-    stabilizer_basis: tuple
-    mu_value: tuple
-    compact: bool
-    mu_diameter: Fraction
+    _fields = ("support", "strata", "stabilizer_basis", "mu_value", "compact", "mu_diameter")
+
+    def __init__(self, support: tuple, strata: tuple, stabilizer_basis: tuple,
+                 mu_value: tuple, compact: bool, mu_diameter: Fraction):
+        self.__dict__.update(support=support, strata=strata, stabilizer_basis=stabilizer_basis,
+                             mu_value=mu_value, compact=compact, mu_diameter=mu_diameter)
 
     def to_dict(self):
         return {"support": list(self.support),
@@ -607,8 +610,7 @@ def check_compatibility(m: LinearModel, phi_offset, bound) -> bool:
 
 # ------------------------------------------------------------ verify_qr
 
-@dataclass
-class QRReport:
+class QRReport(Record):
     """The two quantization routes on a window, kept as sparse columns.
 
     series and counts map each weight of the window to its nonzero
@@ -620,11 +622,15 @@ class QRReport:
     columns into one row per weight of the window, in that order.
     """
 
-    model: LinearModel
-    window: int
-    series: dict
-    counts: dict
-    verdict: bool
+    _fields = ("model", "window", "series", "counts", "verdict")
+
+    def __init__(self, model: LinearModel, window: int, series: dict, counts: dict,
+                 verdict: bool):
+        self.model = model
+        self.window = window
+        self.series = series
+        self.counts = counts
+        self.verdict = verdict
 
     @functools.cached_property
     def regular(self) -> list:

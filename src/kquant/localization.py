@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import lshift, mul
 
 from ._exact import hyperplanes, nullspace, primitive
+from ._record import FrozenRecord, Record
 from .characters import FormalCharacter, WeightPolynomial, exact_divide
 from .errors import (DegeneratePolarization, EnumerationUnbounded,
                      NonIsolatedFixedPoint, NotClosed,
@@ -55,8 +55,7 @@ from .root_data import (RootDatum, add, as_int, as_weight, dominant_window,
                         dot, neg, scale, signed_orbit_with_images, sub, sup_norm)
 
 
-@dataclass(frozen=True)
-class FixedPointDatum:
+class FixedPointDatum(FrozenRecord):
     """Localized data at one isolated fixed point.
 
     tangent_weights: nonzero weights of the tangent representation.
@@ -65,24 +64,23 @@ class FixedPointDatum:
     orbifold_order: order of the local cyclic isotropy, >= 1.
     """
 
-    tangent_weights: tuple
-    fiber_character: WeightPolynomial
-    orbifold_order: int = 1
+    _fields = ("tangent_weights", "fiber_character", "orbifold_order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tangent_weights",
-                           tuple(as_weight(w) for w in self.tangent_weights))
-        for w in self.tangent_weights:
+    def __init__(self, tangent_weights: tuple, fiber_character: WeightPolynomial,
+                 orbifold_order: int = 1):
+        tangent_weights = tuple(as_weight(w) for w in tangent_weights)
+        for w in tangent_weights:
             if not any(w):
-                raise NonIsolatedFixedPoint(f"zero tangent weight in {self.tangent_weights}")
-        if not isinstance(self.fiber_character, WeightPolynomial):
-            object.__setattr__(self, "fiber_character",
-                               WeightPolynomial(self.fiber_character))
-        if not self.fiber_character:
+                raise NonIsolatedFixedPoint(f"zero tangent weight in {tangent_weights}")
+        if not isinstance(fiber_character, WeightPolynomial):
+            fiber_character = WeightPolynomial(fiber_character)
+        if not fiber_character:
             raise ValueError("fiber character must be nonzero")
-        object.__setattr__(self, "orbifold_order", as_int(self.orbifold_order))
-        if self.orbifold_order < 1:
-            raise ValueError(f"orbifold order must be >= 1, got {self.orbifold_order}")
+        orbifold_order = as_int(orbifold_order)
+        if orbifold_order < 1:
+            raise ValueError(f"orbifold order must be >= 1, got {orbifold_order}")
+        self.__dict__.update(tangent_weights=tangent_weights, fiber_character=fiber_character,
+                             orbifold_order=orbifold_order)
 
     @staticmethod
     def _trusted(tangent_weights: tuple, fiber_character: WeightPolynomial) -> "FixedPointDatum":
@@ -112,17 +110,16 @@ def point(fiber, *tangent_weights, order=1) -> FixedPointDatum:
     return FixedPointDatum(tuple(tangent_weights), fiber, order)
 
 
-@dataclass(frozen=True)
-class ClosedComponent:
+class ClosedComponent(FrozenRecord):
     """Fixed point data of one closed piece; at least one point."""
 
-    label: str
-    fixed_points: tuple
+    _fields = ("label", "fixed_points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fixed_points", tuple(self.fixed_points))
-        if not self.fixed_points:
+    def __init__(self, label: str, fixed_points: tuple):
+        fixed_points = tuple(fixed_points)
+        if not fixed_points:
             raise ValueError("a closed component needs at least one fixed point")
+        self.__dict__.update(label=label, fixed_points=fixed_points)
 
     def to_dict(self, sign=1):
         return {"sign": sign, "label": self.label,
@@ -134,8 +131,7 @@ class ClosedComponent:
         return as_int(d.get("sign", 1)), ClosedComponent(str(d.get("label", "")), pts)
 
 
-@dataclass
-class DiscreteKCycle:
+class DiscreteKCycle(Record):
     """Signed, finite or bounded-enumerable, list of closed components.
 
     components is a sequence of (sign, ClosedComponent) with sign +-1.
@@ -145,15 +141,16 @@ class DiscreteKCycle:
     time through the monotone escape of the family's minimal pairing.
     """
 
-    datum: RootDatum
-    components: tuple = ()
-    family: object = None
-    enumeration_bound: int = None
+    _fields = ("datum", "components", "family", "enumeration_bound")
 
-    def __post_init__(self):
-        if self.enumeration_bound is not None and as_int(self.enumeration_bound) < 0:
-            raise ValueError(f"enumeration bound must be >= 0, got {self.enumeration_bound}")
-        self.components = tuple(self._checked(s, c) for s, c in self.components)
+    def __init__(self, datum: RootDatum, components: tuple = (), family=None,
+                 enumeration_bound: int = None):
+        if enumeration_bound is not None and as_int(enumeration_bound) < 0:
+            raise ValueError(f"enumeration bound must be >= 0, got {enumeration_bound}")
+        self.datum = datum
+        self.components = tuple(self._checked(s, c) for s, c in components)
+        self.family = family
+        self.enumeration_bound = enumeration_bound
 
     def _checked(self, sign, comp: ClosedComponent):
         """(sign, comp) once sign is +-1 and comp's weights fit the datum."""
@@ -355,9 +352,12 @@ def _window_guards(dirs, rank, box):
     forces <u, phi> <= max over the box of <gamma, phi>, which is box *
     sum |phi_i| in closed form, the same for phi and -phi.  The normals
     are the coordinate functionals e_t, then, for two factors or more, the
-    annihilator of the direction span and the hyperplanes spanned by
-    rank - 1 directions (_exact.hyperplanes); with fewer only the
-    coordinate guards can act (see below).
+    hyperplanes spanned by rank - 1 directions (_exact.hyperplanes) and
+    the annihilator of the direction span.  The annihilator is needed only
+    when there is no such hyperplane: for a span of rank or rank - 1
+    dimensions it is empty or one of the hyperplanes, and a smaller span
+    has no hyperplane.  With fewer factors only the coordinate guards can
+    act (see below).
 
     Each normal (first nonzero entry positive) is paired with the
     directions once, and both of its guards are read off that one list:
@@ -375,7 +375,7 @@ def _window_guards(dirs, rank, box):
     coords = [tuple(int(i == t) for i in range(rank)) for t in range(rank)]
     spans = set()  # rank 1 has no normal but e_0
     if nfac > 1 and rank > 1:
-        spans = {*nullspace(dirs, rank), *hyperplanes(dirs, rank)}.difference(coords)
+        spans = set(hyperplanes(dirs, rank) or nullspace(dirs, rank)).difference(coords)
     keys, pairs, active = [], [], [[] for _ in dirs]
     for n, key in enumerate(coords + sorted(spans)):
         if n < rank:

@@ -9,8 +9,7 @@ consequence, equality of indices, which is what the certificates check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .characters import FormalCharacter, WeightPolynomial, decompose, formal_multiply
 from .errors import (CertificateFailed, DatumMismatch, EmptyBlock,
                      FiberIndexNotUnit, OddFiber, OrbifoldAveragingUnsupported,
@@ -21,14 +20,17 @@ from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
 from .root_data import build_root_datum, neg, sub
 
 
-@dataclass
-class RewriteCertificate:
+class RewriteCertificate(Record):
     """Window-restricted index comparison around a rewrite."""
 
-    before: FormalCharacter
-    after: FormalCharacter
-    window: int
-    verdict: bool
+    _fields = ("before", "after", "window", "verdict")
+
+    def __init__(self, before: FormalCharacter, after: FormalCharacter, window: int,
+                 verdict: bool):
+        self.before = before
+        self.after = after
+        self.window = window
+        self.verdict = verdict
 
     def to_dict(self):
         return {"window": self.window, "verdict": self.verdict,

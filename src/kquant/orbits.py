@@ -13,21 +13,22 @@ with polarized_index gives the identity on the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import NotDominant, SingularOrbitUnsupported
 from .localization import ClosedComponent, DiscreteKCycle, FixedPointDatum
 from .root_data import RootDatum, is_dominant, is_regular_dominant, signed_orbit_with_images
 
 
-@dataclass
-class OrbitCycle:
+class OrbitCycle(Record):
     """A coadjoint orbit cycle together with its defining weight."""
 
-    datum: RootDatum
-    gamma: tuple
-    component: ClosedComponent
+    _fields = ("datum", "gamma", "component")
+
+    def __init__(self, datum: RootDatum, gamma: tuple, component: ClosedComponent):
+        self.datum = datum
+        self.gamma = gamma
+        self.component = component
 
     def cycle(self, sign: int = 1) -> DiscreteKCycle:
         return DiscreteKCycle(self.datum, ((sign, self.component),))

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord
 from .errors import CertificateFailed, NotDominant, UnsupportedKind
 
 Weight = tuple
@@ -73,8 +73,7 @@ def dot(v, w):
     return sum(a * b for a, b in zip(v, w))
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(FrozenRecord):
     """A torus or type A root datum at a fixed rank.
 
     simple_roots and positive_roots are tuples of weights (empty for a
@@ -82,11 +81,12 @@ class RootDatum:
     fundamental-weight basis of type A is the all-ones tuple.
     """
 
-    kind: str
-    rank: int
-    simple_roots: tuple
-    positive_roots: tuple
-    rho: Weight
+    _fields = ("kind", "rank", "simple_roots", "positive_roots", "rho")
+
+    def __init__(self, kind: str, rank: int, simple_roots: tuple, positive_roots: tuple,
+                 rho: Weight):
+        self.__dict__.update(kind=kind, rank=rank, simple_roots=simple_roots,
+                             positive_roots=positive_roots, rho=rho)
 
     @property
     def is_torus(self) -> bool:

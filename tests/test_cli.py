@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -394,3 +395,24 @@ def test_only_the_printed_view_is_built(capsys, monkeypatch, argv, fmt, owner, n
     monkeypatch.setattr(owner, name, unbuilt)
     assert run(capsys, *argv) == expected
     assert expected[0] == 0
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # the records are plain classes: dataclasses would import inspect (with
+    # ast, dis and tokenize) on every launch.  pytest imports both modules
+    # itself, so a fresh interpreter runs the import and the verbs
+    argvs = [["index", str(DEMO_DATA / "o2_sphere.json"), "--window", "8"],
+             ["reduce", str(DEMO_DATA / "model_pair.json"), "--gamma", "3"],
+             ["verify-qr", str(DEMO_DATA / "model_pair.json"), "--window", "6"],
+             ["orbit", "--group", "A2", "--gamma", "1,1"],
+             ["moves", str(DEMO_DATA / "glue_o2.json")],
+             ["vanishing", str(DEMO_DATA / "model_plane.json")]]
+    code = ("import sys\n"
+            "import kquant.cli\n"
+            f"statuses = [kquant.cli.main(argv) for argv in {argvs!r}]\n"
+            "print(statuses, sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)\n")
+    src = str(Path(kq.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == f"{[0] * len(argvs)} []"

@@ -681,7 +681,13 @@ def test_target_enumeration_matches_the_box_pass():
         ctr = kq.LinearModel.from_dict(m.to_dict())._counter
         assert ctr.window(window) == counts, (m.to_dict(), window)
         assert ctr.regular([range(-window, window + 1)] * m.rank) == regular, (m.to_dict(), window)
-        span = _exact_rank(m.weights) if m.weights else 0
+        # the one-point flag pairs gamma with the walls instead of packing
+        # them: it agrees with the packed flag, at c (on every wall) too
+        for g in [m.shift] + [tuple(rng.randint(-window - 2, window + 2) for _ in range(m.rank))
+                              for _ in range(6)]:
+            assert kq.reduction_multiplicity(m, g).regular == ctr.regular([(x,) for x in g])[0], \
+                (m.to_dict(), g)
+        span =_exact_rank(m.weights) if m.weights else 0
         seen.add(("thin" if span < m.rank else "full", bool(ctr.steps), bool(counts)))
     assert {(kind, looped, True) for kind in ("thin", "full") for looped in (False, True)} <= seen
 

@@ -320,12 +320,21 @@ def test_torus_guard_bound_is_the_box_maximum():
     from kquant.localization import _window_guards
 
     rng = random.Random(43)
+    cases = []
     for _ in range(40):
         rank = rng.randint(1, 3)
         window = rng.randint(0, 4)
         dirs = [tuple(rng.randint(-3, 3) for _ in range(rank))
                 for _ in range(rng.randint(1, 4))]
-        dirs = [d for d in dirs if any(d)] or [(1,) * rank]
+        cases.append((rank, window, [d for d in dirs if any(d)] or [(1,) * rank]))
+    # parallel directions at rank 3 span no plane, so no hyperplane is
+    # spanned and the guards come from the annihilator of their line
+    for _ in range(12):
+        d = tuple(rng.randint(-2, 2) for _ in range(3))
+        d = d if any(d) else (1, 0, -1)
+        ks = rng.sample((-2, -1, 1, 2, 3), rng.randint(2, 4))
+        cases.append((3, rng.randint(0, 4), [tuple(k * x for x in d) for k in ks]))
+    for rank, window, dirs in cases:
         box = list(itertools.product(range(-window, window + 1), repeat=rank))
         keys, pairs, active = _window_guards(dirs, rank, window)
         assert active[-1]
