@@ -272,10 +272,6 @@ class Character(Record):
     def sorted_items(self):
         return sorted(self.mults.items())
 
-    def __eq__(self, other):
-        return (isinstance(other, Character) and self.datum == other.datum
-                and self.mults == other.mults)
-
     def __add__(self, other):
         if self.datum != other.datum:
             raise ValueError("datum mismatch")

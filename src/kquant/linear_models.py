@@ -18,7 +18,7 @@ Two independent routes compute the same invariant:
   that lie in the box and the cone of the weights, enumerated coordinate
   by coordinate on an echelon basis of L, with the box and the normals
   that support the cone bounding each coefficient in closed form (a
-  single gamma is solved on that basis instead).  They
+  single gamma is the one-point box [gamma, gamma]).  They
   are counted together as columns, in one list pass per loop level and
   coefficient and the last level in closed form (independent weights
   need none).  Regularity (gamma - c on no wall) is one pairing of gamma
@@ -236,17 +236,16 @@ class _LatticeCounter:
     the lowest bits).  With no such hyperplane the one wall is the
     weights' span: gamma is singular iff every row of a nullspace basis
     of the span vanishes on gamma - c, that is iff the packed sum is
-    exactly its bias.  count makes the same test at its one gamma by
-    pairing it with each wall, with no fields to pack.  No slot changes
-    after __init__.
+    exactly its bias.  count makes the same test on the one-point axes of
+    its gamma.  No slot changes after __init__.
 
     Targets.  A nonzero count needs gamma - c in the group L the weights
     generate, and <n, gamma - c> >= 0 for the supporting normals and the
     Farkas vector.  `basis` holds the echelon basis b_0, b_1, ... of L
     (_exact.hermite_basis, flat, as walls): b_k is zero before its pivot
     row and positive there, pivots increasing.  _targets enumerates gamma
-    = c + sum x_k b_k in the box level by level; _count solves one gamma
-    - c on the basis pivot by pivot.  Every tracked row (the
+    = c + sum x_k b_k in a box level by level, and count runs it on the
+    one-point box [gamma, gamma].  Every tracked row (the
     coordinates of gamma, the fields the count reads, that is <xi, gamma
     - c> and the `leaf` rows, and the cone rows) is an affine column,
     stepped by its pairing with b_k, its image.  A row is final once the
@@ -297,43 +296,18 @@ class _LatticeCounter:
         return [self.basis[i:i + r] for i in range(0, len(self.basis), r)]
 
     def count(self, gamma) -> ReductionCount:
-        """(count, regular) at one gamma; regular pairs gamma with the walls directly."""
-        if self.walls:
-            regular = all(dot(n, gamma) != nc for *n, nc, _ in self.walls)
+        """(count, regular) at one gamma: the window pass on the one-point box [gamma, gamma]."""
+        r, cols = len(self.shift), self._targets(gamma, gamma)
+        if cols and self.steps:
+            n = self._level(0, cols[r + 1:], cols[r])[0]
         else:
-            t = [g - c for g, c in zip(gamma, self.shift)]
-            regular = any(dot(n, t) for n in nullspace(self._vectors(), len(t)))
-        return ReductionCount(self._count(gamma), regular)
-
-    def _count(self, gamma) -> int:
-        """The count at one gamma: the window pass's tests and count on one target.
-
-        gamma - c is solved on the echelon basis pivot by pivot, each
-        coefficient one division by a positive pivot.  No later basis
-        vector moves that pivot's row, so gamma is off c + L exactly when
-        some row keeps a remainder at the end.  A target that also passes
-        the cone rows (see the class docstring) counts 1 when no weight is
-        looped, and otherwise as one column of _level.
-        """
-        t = [g - c for g, c in zip(gamma, self.shift)]
-        y = t
-        for b in self._vectors():
-            p = next(i for i, x in enumerate(b) if x)
-            q = y[p] // b[p]
-            y = [v - q * e for v, e in zip(y, b)]
-        if any(y):
-            return 0
-        if not self.steps:
-            return int(all(dot(row, t) >= 0 for row in self.leaf))
-        if dot(self.xi, t) < 0 or any(dot(n, t) < 0 for *n, _, supporting in self.walls
-                                      if supporting):
-            return 0
-        return self._level(0, [[dot(row, t)] for row in self.leaf], [dot(self.xi, t)])[0]
+            n = int(bool(cols))  # none, or independent weights: the cone rows were exact
+        return ReductionCount(n, self.regular([(g,) for g in gamma])[0])
 
     def window(self, w) -> dict:
         """{gamma: count} for each gamma of [-w, w]^rank with a nonzero count."""
         r = len(self.shift)
-        cols = self._targets(w)
+        cols = self._targets((-w,) * r, (w,) * r)
         if len(self.steps) > 1 and cols:  # _level reads the budgets in decreasing order
             order = sorted(range(len(cols[r])), key=cols[r].__getitem__, reverse=True)
             cols = [[col[i] for i in order] for col in cols]
@@ -344,8 +318,8 @@ class _LatticeCounter:
         del cols  # the coordinate columns, freed so they add nothing to the count's peak memory
         return {g: n for g, n in zip(gammas, self._level(0, ys, bs)) if n}
 
-    def _targets(self, w) -> list:
-        """The columns of the targets in [-w, w]^rank: the coordinates of gamma, then xi and leaf.
+    def _targets(self, los, his) -> list:
+        """The columns of the targets in the box prod [los, his]: the coordinates, then xi and leaf.
 
         The targets are enumerated level by level (see the class docstring):
         a column holds one value per partial point, and level k keeps of each
@@ -361,7 +335,7 @@ class _LatticeCounter:
         vectors = self._vectors()
         images = [(*b, *(sum(map(mul, row, b)) for row in rows)) for b in vectors]
         final = [[] for _ in vectors]  # the bounded rows that b_k is the last to move
-        for q, lo, hi in (*((q, -w, w) for q in range(r)), *((q, 0, None) for q in cone)):
+        for q, lo, hi in (*zip(range(r), los, his), *((q, 0, None) for q in cone)):
             k = len(vectors)
             while k and not images[k - 1][q]:
                 k -= 1
@@ -459,11 +433,10 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
 
     Counts #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}; gamma is regular
     iff gamma - c avoids every wall spanned by fewer than rank weights
-    (tested on the maximal walls, by one packed pairing).  The count
-    makes the window pass's tests on gamma alone: gamma is a target only
-    if gamma - c is in the group the weights generate (solved on its
-    echelon basis) and pairs >= 0 with the normals that support their
-    cone (else the count is 0); then
+    (tested on the maximal walls, by one packed pairing).  Both are the
+    window pass on the one-point box [gamma, gamma]: gamma is a target
+    only if gamma - c is in the group the weights generate and pairs >= 0
+    with the normals that support their cone (else the count is 0); then
     the count loops the weights outside a greedy basis of their span but
     the last, bounded by the Farkas vector (a_j <= <gamma-c, xi> / <w_j,
     xi>), takes the last one's coefficient from one residue class in

@@ -173,10 +173,6 @@ class DiscreteKCycle(Record):
                           enumeration_bound=None)
         return k
 
-    @property
-    def is_finite(self) -> bool:
-        return self.family is None
-
     def _mapped(self, f) -> "DiscreteKCycle":
         """f(sign, comp) in place of every (sign, comp), the family's included."""
         base = self.family

@@ -252,7 +252,7 @@ def certify_glue_split(component, blocks, datum, window, xi=None):
 def certify_product(a, b, window, xi=None):
     out = product_cycle(a, b)
     if xi is None:
-        xi = auto_polarization(out)
+        xi = auto_polarization(a, b)
     bchar = decompose(b.datum, closed_sum(b))
     margin = bchar.weight_system_bound()
     before = formal_multiply(polarized_index(a, xi, window + margin), bchar)

@@ -497,34 +497,30 @@ def _box_sums(v, base, axes):
 def box_counts(m, axes):
     """Reference (regular, counts) on product(*axes) by a pass over the whole box.
 
-    Packs the counter's walls for the box and pairs every point with them
-    and with lattice_tests' functionals: regular holds one flag per point,
-    in product order, and counts the nonzero count of each point inside
-    the cone and the group of the weights, from the counter's own search
-    kernels (_level, _last) on fields summed per point.
+    Pairs every point gamma - c with each of the counter's walls, one
+    column per wall, and with lattice_tests' functionals: regular holds
+    one flag per point, in product order (off every wall, or off the
+    span, lattice_tests' modulus-0 rows, when there is no wall), and
+    counts the nonzero count of each point that pairs >= 0 with the
+    supporting walls and lies in the group of the weights, from the
+    counter's own search kernels (_level, _last) on fields summed per point.
     """
     ctr = m._counter
-    c0, big = ctr.shift, max((abs(g) for axis in axes for g in axis), default=0)
-    packed, const, half, ones, cone, p = [0] * len(c0), 0, 0, 0, 0, 0
-    for *n, c, supporting in ctr.walls:
-        top = 1 << p + (sum(map(abs, n)) * big + abs(c)).bit_length()
-        packed = [x + (v << p) for x, v in zip(packed, n)]
-        const += top - (c << p)
-        half += top
-        ones += 1 << p
+    c0 = ctr.shift
+    regular = inside = [True] * math.prod(map(len, axes))
+    for *n, nc, supporting in ctr.walls:
+        vs = _box_sums(n, -nc, axes)
+        regular = [a and v != 0 for a, v in zip(regular, vs)]
         if supporting:
-            cone += top
-        p = top.bit_length()
-    ds = _box_sums(packed, const, axes)
-    inside = [d & cone == cone for d in ds]
+            inside = [a and v >= 0 for a, v in zip(inside, vs)]
     span = []  # the span rows' columns, when the span is the one wall
     for n, mod in lattice_tests(m.weights, m.rank):
         vs = _box_sums(n, -sum(map(operator.mul, n, c0)), axes)
         inside = [a and not (v % mod if mod else v) for a, v in zip(inside, vs)]
         if not (mod or ctr.walls):
             span.append(vs)
-    regular = ([any(z) for z in zip(*span)] if span else
-               [not ((e := d ^ half) - ones) & ~e & half for d in ds])
+    if span:
+        regular = [any(z) for z in zip(*span)]
     gammas = list(itertools.compress(itertools.product(*axes), inside))
     n = len(gammas)
     if not ctr.steps and len(ctr.leaf) == len(c0):

@@ -681,12 +681,21 @@ def test_target_enumeration_matches_the_box_pass():
         ctr = kq.LinearModel.from_dict(m.to_dict())._counter
         assert ctr.window(window) == counts, (m.to_dict(), window)
         assert ctr.regular([range(-window, window + 1)] * m.rank) == regular, (m.to_dict(), window)
-        # the one-point flag pairs gamma with the walls instead of packing
-        # them: it agrees with the packed flag, at c (on every wall) too
+        # the one-point count is the window pass on [gamma, gamma]: it gives a
+        # point of the box the window's count and the column's flag; every
+        # point of a box up to 81 points, else 30 nonzero counts and 30 drawn
+        cells = list(zip(itertools.product(range(-window, window + 1), repeat=m.rank), regular))
+        if len(cells) > 81:
+            cells = [cell for cell in cells if cell[0] in counts][:30] + rng.sample(cells, 30)
+        assert [tuple(kq.reduction_multiplicity(m, g)) for g, _ in cells] == \
+            [(counts.get(g, 0), flag) for g, flag in cells], (m.to_dict(), window)
+        # and its flag pairs gamma - c with every maximal wall, at c (on every wall) too
+        walls = maximal_wall_normals(m.weights, m.rank)
         for g in [m.shift] + [tuple(rng.randint(-window - 2, window + 2) for _ in range(m.rank))
                               for _ in range(6)]:
-            assert kq.reduction_multiplicity(m, g).regular == ctr.regular([(x,) for x in g])[0], \
-                (m.to_dict(), g)
+            t = [x - c for x, c in zip(g, m.shift)]
+            assert kq.reduction_multiplicity(m, g).regular == \
+                all(any(sum(map(mul, n, t)) for n in wall) for wall in walls), (m.to_dict(), g)
         span =_exact_rank(m.weights) if m.weights else 0
         seen.add(("thin" if span < m.rank else "full", bool(ctr.steps), bool(counts)))
     assert {(kind, looped, True) for kind in ("thin", "full") for looped in (False, True)} <= seen

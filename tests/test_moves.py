@@ -163,6 +163,20 @@ def test_product_infinite_by_finite_series():
         assert fc.mult((n,)) == 2
 
 
+def test_product_polarization_comes_from_its_factors(monkeypatch):
+    # the polarization is read off the factors, so certifying at window 3
+    # builds only the product points of the 5 family components that reach
+    # it (4 each), not the 8004 of a family materialized to its bound
+    from kquant import moves
+
+    built = []
+    real = moves._product_point
+    monkeypatch.setattr(moves, "_product_point", lambda *a: built.append(1) or real(*a))
+    _, cert = kq.certify_product(lazy_disk_family(bound=2000), one_component(kq.o_sphere(1)), 3)
+    assert cert.verdict
+    assert len(built) == 20
+
+
 def test_product_commutes_for_finite_cycles():
     rng = random.Random(14)
     for _ in range(8):
