@@ -236,8 +236,9 @@ class _LatticeCounter:
     the lowest bits).  With no such hyperplane the one wall is the
     weights' span: gamma is singular iff every row of a nullspace basis
     of the span vanishes on gamma - c, that is iff the packed sum is
-    exactly its bias.  count makes the same test on the one-point axes of
-    its gamma.  No slot changes after __init__.
+    exactly its bias; `span` holds those rows, flat as walls, and is empty
+    when there are walls.  count makes the same test on the one-point
+    axes of its gamma.  No slot changes after __init__.
 
     Targets.  A nonzero count needs gamma - c in the group L the weights
     generate, and <n, gamma - c> >= 0 for the supporting normals and the
@@ -264,31 +265,49 @@ class _LatticeCounter:
     on the basis, with det * a = leaf * y and det > 0, so a leaf of the
     search is one test: every entry of leaf * y a nonnegative multiple of
     det.  The other d - rank(span) weights are looped, largest pairing
-    first, within the Farkas budget <y, xi>.  All targets of a pass go
-    through the levels together, as one list per leaf row and one of
-    budgets (_level), and no value computed for one target is used for
-    another.  The test is linear in the last looped weight's coefficient
-    a, so the valid a form an interval met with one residue class mod det
-    // gcd(det, step), read off `kit` (_exact.residue_kit) and counted in
-    closed form.
+    first, each but the last within the Farkas budget <y, xi>.  The test
+    is linear in the last looped weight's coefficient a, so the valid a
+    form an interval met with one residue class mod period = det //
+    gcd(det, step), the class of u * y // g (kit = (g, period, u), from
+    _exact.residue_kit), counted in closed form (_last).  All targets of
+    a pass go through the levels together, as one list per leaf row, one
+    of budgets and one of classes u * y (_search, _level), and no value
+    computed for one target is used for another.  Each looped weight's
+    step holds its leaf entries t and then u * t, so the class row is
+    computed once per target and stepped with the leaf rows.  The rows
+    whose last step entry is not 0 bound the interval, so only those with
+    entry 0 (`signs`) keep a sign test; the other rows (`divides`) test
+    divisibility only when the basis and the last looped weight generate
+    a smaller group than L, and are empty otherwise, as always with one
+    looped weight.
     """
 
-    __slots__ = ("shift", "xi", "det", "leaf", "steps", "kit", "basis", "walls")
+    __slots__ = ("shift", "xi", "det", "leaf", "steps", "kit", "signs", "divides", "basis",
+                 "walls", "span")
 
     def __init__(self, m: LinearModel):
         self.shift = c0 = m.shift
         self.xi = xi = farkas_vector(m)
+        r = m.rank
         ws = sorted(m.weights, key=lambda w: dot(w, xi))
-        basis, self.det, self.leaf = cramer_kit(ws, m.rank)
+        basis, self.det, self.leaf = cramer_kit(ws, r)
         looped = [w for i, w in enumerate(ws) if i not in basis][::-1]
-        self.steps = tuple((tuple(dot(row, w) for row in self.leaf), dot(w, xi))
-                           for w in looped)
-        self.kit = residue_kit(self.steps[-1][0] if self.steps else (), self.det)
+        ts = [tuple(dot(row, w) for row in self.leaf) for w in looped]
+        self.kit = residue_kit(ts[-1] if ts else (), self.det)
+        self.steps = tuple(((*t, dot(self.kit[2], t)), dot(w, xi)) for t, w in zip(ts, looped))
+        lattice = hermite_basis(m.weights, r)
+        self.basis = sum(lattice, ())  # flat, as walls
+        self.signs = self.divides = ()
+        if looped:
+            self.signs = tuple(i for i, s in enumerate(ts[-1]) if not s)
+            if hermite_basis([ws[i] for i in basis] + looped[-1:], r) != lattice:
+                self.divides = tuple(i for i, s in enumerate(ts[-1]) if s)
         normals = [neg(n) if all(dot(w, n) <= 0 for w in m.weights) else n
-                   for n in hyperplanes(m.weights, m.rank)]
+                   for n in hyperplanes(m.weights, r)]
         self.walls = tuple((*n, dot(n, c0), all(dot(w, n) >= 0 for w in m.weights))
                            for n in normals)
-        self.basis = sum(hermite_basis(m.weights, m.rank), ())  # flat, as walls
+        self.span = () if self.walls else tuple((*n, dot(n, c0), False)
+                                                for n in nullspace(m.weights, r))
 
     def _vectors(self) -> list:
         """The echelon basis of L, one vector per level."""
@@ -299,7 +318,7 @@ class _LatticeCounter:
         """(count, regular) at one gamma: the window pass on the one-point box [gamma, gamma]."""
         r, cols = len(self.shift), self._targets(gamma, gamma)
         if cols and self.steps:
-            n = self._level(0, cols[r + 1:], cols[r])[0]
+            n = self._search(cols[r], cols[r + 1:])[0]
         else:
             n = int(bool(cols))  # none, or independent weights: the cone rows were exact
         return ReductionCount(n, self.regular([(g,) for g in gamma])[0])
@@ -308,15 +327,13 @@ class _LatticeCounter:
         """{gamma: count} for each gamma of [-w, w]^rank with a nonzero count."""
         r = len(self.shift)
         cols = self._targets((-w,) * r, (w,) * r)
-        if len(self.steps) > 1 and cols:  # _level reads the budgets in decreasing order
+        if not (cols and self.steps):
+            return dict.fromkeys(zip(*cols[:r]), 1)  # none, or independent weights: the cone rows were exact
+        if len(self.steps) > 1:  # _level reads the budgets in decreasing order
             order = sorted(range(len(cols[r])), key=cols[r].__getitem__, reverse=True)
             cols = [[col[i] for i in order] for col in cols]
-        gammas = list(zip(*cols[:r]))
-        if not (gammas and self.steps):
-            return dict.fromkeys(gammas, 1)  # none, or independent weights: the cone rows were exact
-        bs, *ys = cols[r:]
-        del cols  # the coordinate columns, freed so they add nothing to the count's peak memory
-        return {g: n for g, n in zip(gammas, self._level(0, ys, bs)) if n}
+        counts = self._search(cols[r], cols[r + 1:])
+        return dict(zip(itertools.compress(zip(*cols[:r]), counts), filter(None, counts)))
 
     def _targets(self, los, his) -> list:
         """The columns of the targets in the box prod [los, his]: the coordinates, then xi and leaf.
@@ -367,52 +384,77 @@ class _LatticeCounter:
                 return []
         return cols[:kept]
 
-    def _level(self, j, ys, bs):
-        """Counts from loop level j on; bs decreases, so the budgets still >= 0 are a prefix."""
-        step, pw = self.steps[j]
-        if j + 1 == len(self.steps):
-            return self._last(ys, [b // pw for b in bs], step)
-        total = [0] * len(bs)
-        while k := bisect.bisect_right(bs, 0, key=negative):
-            ys, bs = [col[:k] for col in ys], bs[:k]
-            total[:k] = map(add, total, self._level(j + 1, ys, bs))
-            ys, bs = [[y - s for y in col] for col, s in zip(ys, step)], [b - pw for b in bs]
-        return total
-
-    def _last(self, ys, his, step):
-        """#{a in [0, hi] : y - a * step passes the leaf test}, per column, in closed form.
-
-        The leaf rows alone decide (the target lies in c + L, so y is in the
-        span): each entry of y - a * step must be a nonnegative multiple of
-        det.  The signs bound a to [lo, hi], and the multiples hold, if at
-        all, on the class of sum(u * y) // g mod period, checked at its first
-        a >= lo (_exact.residue_kit).
-        """
-        det, (g, period, u) = self.det, self.kit
-        los = [0] * len(his)
-        for col, s in zip(ys, step):
-            if s > 0:
-                his = [q if (q := y // s) < h else h for h, y in zip(his, col)]
-            elif s < 0:
-                los = [q if (q := -(y // -s)) > lo else lo for lo, y in zip(los, col)]
-        cs = [0] * len(his)
-        for col, x in zip(ys, u):
+    def _search(self, bs, ys) -> list:
+        """The counts of targets with budgets bs and leaf rows ys: the class row u * y, then _level."""
+        cs = [0] * len(bs)
+        for col, x in zip(ys, self.kit[2]):
             if x:
                 cs = [c + x * y for c, y in zip(cs, col)]
-        firsts = [lo + (c // g - lo) % period for lo, c in zip(los, cs)]
-        ok = [a <= h for a, h in zip(firsts, his)]
+        return self._level(0, [*ys, cs], bs)
+
+    def _level(self, j, ys, bs):
+        """Counts from loop level j on; bs decreases, so the budgets still >= pw are a prefix."""
+        if j + 1 == len(self.steps):
+            return self._last(ys)
+        step, pw = self.steps[j]
+        total = self._level(j + 1, ys, bs)  # coefficient 0: xi is a cone row, so every budget is >= 0
+        while k := bisect.bisect_right(bs, -pw, key=negative):
+            bs = [b - pw for b in itertools.islice(bs, k)]
+            ys = [[y - s for y in itertools.islice(col, k)] if s else col[:k]
+                  for col, s in zip(ys, step)]
+            total[:k] = map(add, total, self._level(j + 1, ys, bs))
+        return total
+
+    def _last(self, ys):
+        """#{a >= 0 : y - a * step passes the leaf test}, per column, in closed form.
+
+        step is the last looped weight's, and ys ends with the class row
+        u * y.  The leaf rows alone decide (the target lies in c + L, so y
+        is in the span): each entry of y - a * step must be a nonnegative
+        multiple of det.  The rows whose entry s is > 0 bound a above and
+        those with s < 0 below (from 0), so every a of [lo, hi] passes
+        their sign tests, and only the rows with s == 0 (`signs`) test y
+        >= 0.  Some s is > 0: step is det times the weight's coefficients
+        on the basis, so were every entry <= 0 it would pair <= 0 with xi.
+        No budget is needed either: the remainder pairs with xi as sum_i
+        (y - a * step)_i / det * <b_i, xi>, >= 0 once the entries are.  The
+        multiples hold, if at all, on the class of u * y // g mod period
+        (_exact.residue_kit), from its first a >= lo.  When the basis and
+        this weight generate L, y is an integer combination of them, so the
+        class exists; otherwise the rows of `signs` and `divides` are
+        tested at that a.
+        """
+        det, (g, period, _), step = self.det, self.kit, self.steps[-1][0]
+        *ys, cs = ys
+        his = los = None
         for col, s in zip(ys, step):
-            ok = [k and (r := y - a * s) >= 0 and not r % det for k, y, a in zip(ok, col, firsts)]
-        return [(h - a) // period + 1 if k else 0 for k, h, a in zip(ok, his, firsts)]
+            if s > 0:
+                his = ([y // s for y in col] if his is None else
+                       [q if (q := y // s) < h else h for h, y in zip(his, col)])
+            elif s < 0:
+                los = ([q if (q := -(y // -s)) > 0 else 0 for y in col] if los is None else
+                       [q if (q := -(y // -s)) > lo else lo for lo, y in zip(los, col)])
+        if period == 1:  # every a is in the class
+            firsts = los or [0] * len(his)
+        elif los is None:
+            firsts = [c // g % period for c in cs]
+        else:
+            firsts = [lo + (c // g - lo) % period for lo, c in zip(los, cs)]
+        ns = [n if (n := (h - a) // period + 1) > 0 else 0 for h, a in zip(his, firsts)]
+        for i in self.signs:  # with divides, y must be a multiple of det too
+            ns = ([n if y >= 0 and not y % det else 0 for n, y in zip(ns, ys[i])] if self.divides
+                  else [n if y >= 0 else 0 for n, y in zip(ns, ys[i])])
+        for i in self.divides:
+            s = step[i]
+            ns = [0 if (y - a * s) % det else n for n, y, a in zip(ns, ys[i], firsts)]
+        return ns
 
     def regular(self, axes) -> list:
         """The regular flag of each point of product(*axes), in that order; see the class docstring."""
-        c0, r = self.shift, len(self.shift)
+        r = len(self.shift)
         big = max((abs(g) for axis in axes for g in axis), default=0)
-        walls = self.walls or [(*n, dot(n, c0), False)
-                               for n in nullspace(self._vectors(), r)]
         packed, const, half, ones, p = [0] * r, 0, 0, 0, 0
-        for *n, c, _ in walls:
+        for *n, c, _ in self.walls or self.span:
             top = 1 << p + (sum(map(abs, n)) * big + abs(c)).bit_length()
             packed = [x + (v << p) for x, v in zip(packed, n)]
             const += top - (c << p)

@@ -359,13 +359,15 @@ def _window_guards(dirs, rank, box):
     directions once, and both of its guards are read off that one list:
     key is valid on factor j when it pairs >= 0 with every later
     direction, so from the factor of its last negative pairing on, and
-    -key from that of its last positive one.  On the last factor only the
-    coordinate guards act: they alone cut k to exactly the box (no other
-    guard cuts a box point).  keys lists the normals with a guard valid
-    somewhere (the coordinates always, first), one packed field each,
-    pairs[f] the pairings of keys[f] with the directions, and active[j]
-    the guards of factor j as (f, flip, bound), flip when the guard is
-    -keys[f].
+    -key from that of its last positive one.  Past that first valid factor
+    a guard acts only where its normal pairs nonzero with the direction:
+    every term already meets it, and steps that leave the pairing unchanged
+    cannot break it.  On the last factor only the coordinate guards act:
+    they alone cut k to exactly the box (no other guard cuts a box point).
+    keys lists the normals with a guard valid somewhere (the coordinates
+    always, first), one packed field each, pairs[f] the pairings of
+    keys[f] with the directions, and active[j] the guards of factor j as
+    (f, flip, bound), flip when the guard is -keys[f].
     """
     nfac = len(dirs)
     coords = [tuple(int(i == t) for i in range(rank)) for t in range(rank)]
@@ -390,9 +392,11 @@ def _window_guards(dirs, rank, box):
         keys.append(key)
         pairs.append(ps)
         for j in range(plus, end):
-            active[j].append((f, False, b))
+            if j == plus or ps[j]:
+                active[j].append((f, False, b))
         for j in range(minus, end):
-            active[j].append((f, True, b))
+            if j == minus or ps[j]:
+                active[j].append((f, True, b))
     return keys, pairs, active
 
 

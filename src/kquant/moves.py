@@ -180,7 +180,10 @@ def bundle_modification(k: DiscreteKCycle, fiber: ClosedComponent,
 
     out = k._mapped(lambda s, c: (s, modify(c)))
     if xi is None:
-        xi = auto_polarization(out, k)
+        # a product point's tangent weights are a point's of k and one of the
+        # fiber's, so out is not materialized to read them (with no point in
+        # k, both indices are 0 at every xi)
+        xi = auto_polarization(k, DiscreteKCycle(k.datum, ((1, fiber),)))
     cert = certify(polarized_index(k, xi, window), polarized_index(out, xi, window))
     return out, cert
 

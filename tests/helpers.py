@@ -403,8 +403,9 @@ def recursive_count(m, gamma):
     """Reference lattice count of one gamma by a depth-first search per target.
 
     Uses the model counter's setup (Farkas vector xi, Cramer rows `leaf`
-    with det, loop steps) and lattice_tests, but none of its counting:
-    a target outside the group of the weights counts 0; otherwise each
+    with det, the leaf entries of the loop steps) and lattice_tests, but
+    none of its counting: a target outside the group of the weights counts
+    0; otherwise each
     looped weight's coefficient runs over its Farkas budget, and the last
     level bounds its coefficient a by the signs of y - a * step and scans
     up to `period` candidates for the first a whose entries det divides.
@@ -415,7 +416,7 @@ def recursive_count(m, gamma):
     if any(dot(n, target) % mod if mod else dot(n, target)
            for n, mod in _model_lattice_tests(m.weights, m.rank)):
         return 0
-    det, steps = ctr.det, ctr.steps
+    det, steps = ctr.det, [(step[:len(ctr.leaf)], pw) for step, pw in ctr.steps]
     period = det // math.gcd(det, *steps[-1][0]) if steps else 1
 
     def last(y, hi, step):
@@ -503,7 +504,8 @@ def box_counts(m, axes):
     span, lattice_tests' modulus-0 rows, when there is no wall), and
     counts the nonzero count of each point that pairs >= 0 with the
     supporting walls and lies in the group of the weights, from the
-    counter's own search kernels (_level, _last) on fields summed per point.
+    counter's own search kernels (_search, _level, _last) on fields summed
+    per point.
     """
     ctr = m._counter
     c0 = ctr.shift
@@ -532,8 +534,8 @@ def box_counts(m, axes):
         if len(ctr.steps) > 1:
             order = sorted(order, key=bs.__getitem__, reverse=True)
             bs, ys = [bs[i] for i in order], [[col[i] for i in order] for col in ys]
-        found = (ctr._level(0, ys, bs) if ctr.steps else
-                 ctr._last(ys, [0] * n, (0,) * len(ys)))
+        found = (ctr._search(bs, ys) if ctr.steps else  # else the one solution must be >= 0
+                 [int(all(col[i] >= 0 for col in ys)) for i in range(n)])
         counts = [0] * n
         for i, c in zip(order, found):
             counts[i] = c

@@ -638,6 +638,71 @@ def test_window_counts_match_the_recursive_search():
             assert kq.reduction_multiplicity(m, (g,)).count == recursive_count(m, (g,)), (ws, g)
 
 
+def _small_models(rng, count, cap=20000):
+    """Proper models of rank 1-3 with up to rank + 3 weights in [-2, 2] whose
+    brute-force grid at window 2 (_naive_reduction) has at most cap points."""
+    out = []
+    while len(out) < count:
+        r = 1 + len(out) % 3
+        m = random_proper_model(rng, max_d=r + 3, max_r=3, entry=2, r=r)
+        xi = kq.farkas_vector(m)
+        top = 2 * sum(map(abs, xi)) + abs(sum(map(mul, m.shift, xi)))
+        if math.prod(top // sum(map(mul, w, xi)) + 1 for w in m.weights) <= cap:
+            out.append(m)
+    return out
+
+
+def test_last_level_matches_brute_force_in_every_case():
+    # the last level tests signs only on the rows whose step entry is 0
+    # (signs) and divisibility only when the basis and the last looped
+    # weight do not generate L (divides); every combination is counted
+    # against the brute-force enumeration, by the window and at each point
+    rng = random.Random(83)
+    seen = set()
+    for m in _small_models(rng, 120):
+        ctr = kq.LinearModel.from_dict(m.to_dict())._counter
+        if ctr.steps:
+            seen.add((min(len(ctr.steps), 3), bool(ctr.divides), bool(ctr.signs)))
+        expected = _naive_reduction(m, 2)
+        assert ctr.window(2) == {g: n for g, (n, _) in expected.items() if n}, m.to_dict()
+        for g in rng.sample(sorted(expected), min(len(expected), 20)):
+            assert tuple(kq.reduction_multiplicity(m, g)) == expected[g], (m.to_dict(), g)
+    # one looped weight with the basis is every weight: nothing to divide
+    assert {(1, False, False), (1, False, True)} | {
+        (levels, divides, signs) for levels in (2, 3)
+        for divides in (False, True) for signs in (False, True)} == seen
+
+
+def test_last_level_needs_its_divisibility_rows():
+    # 2, 4 and 5: the basis 2 and the last looped weight 4 generate 2Z, not
+    # Z, so an odd remainder has no coefficients on them; with the rows left
+    # untested, gamma = 5 would count a = 0 and 1 for 4 as well as 5 itself
+    m = kq.linear_model([(2,), (4,), (5,)], (0,))
+    assert m._counter.divides
+    expected = {g: n for g, (n, _) in _naive_reduction(m, 9).items() if n}
+    assert m._counter.window(9) == expected and expected[(5,)] == 1
+    ctr = kq.LinearModel.from_dict(m.to_dict())._counter
+    ctr.divides = ()
+    assert ctr.window(9)[(5,)] == 3
+
+
+def test_last_looped_weight_has_a_positive_leaf_entry():
+    # its leaf entries are det times its coefficients on the basis, whose
+    # weights pair > 0 with xi: were none > 0 it would pair <= 0 with xi,
+    # so the last level always has an upper bound without the budget
+    rng = random.Random(89)
+    models = [random_proper_model(rng, max_d=7, max_r=4, entry=3) for _ in range(300)]
+    models += [kq.linear_model(w, c) for w, c in _DEPENDENT_TAIL + _DEGENERATE]
+    looped = 0
+    for m in models:
+        ctr = m._counter
+        if ctr.steps:
+            looped += 1
+            step, pw = ctr.steps[-1]
+            assert pw > 0 and max(step[:len(ctr.leaf)]) > 0, m.to_dict()
+    assert looped > 100
+
+
 def _box_reference(m, window):
     """(regular, counts) of helpers.box_counts on the window, for a copy of m."""
     return box_counts(kq.LinearModel.from_dict(m.to_dict()), [range(-window, window + 1)] * m.rank)

@@ -348,17 +348,21 @@ def test_torus_guard_bound_is_the_box_maximum():
                 assert b == max(_pairing(v, phi) for v in box)
                 assert b == max(-_pairing(v, phi) for v in box)
                 got.add((j, phi))
-        # every candidate normal's guard acts exactly where it is valid: on
-        # factor j iff it pairs >= 0 with every later direction, before the
-        # last factor, where only the coordinate guards act
+        # every candidate normal's guard acts exactly where it is valid and
+        # can cut: on factor j iff it pairs >= 0 with every later direction,
+        # before the last factor, where only the coordinate guards act, and
+        # j is its first valid factor or it pairs nonzero with dirs[j] (every
+        # term already meets a guard that was applied before and that this
+        # factor's steps leave unchanged)
         coords = {tuple(int(i == t) for i in range(rank)) for t in range(rank)}
         cands = coords | {*nullspace(dirs, rank), *hyperplanes(dirs, rank)}
         expected = set()
         for key in cands:
             for phi in (key, tuple(-x for x in key)):
                 end = len(dirs) if key in coords else len(dirs) - 1
+                valid = [all(_pairing(d, phi) >= 0 for d in dirs[j + 1:]) for j in range(end)]
                 expected |= {(j, phi) for j in range(end)
-                             if all(_pairing(d, phi) >= 0 for d in dirs[j + 1:])}
+                             if valid[j] and (_pairing(dirs[j], phi) or not (j and valid[j - 1]))}
         assert got == expected
 
 

@@ -142,6 +142,36 @@ def test_bundle_modification_on_family():
     assert all(fc.mult((n,)) == 1 for n in range(6))
 
 
+def test_bundle_polarization_comes_from_the_cycle_and_fiber(monkeypatch):
+    # the polarization is read off k and the fiber, so modifying a family at
+    # window 3 builds only the product points of the 5 family components
+    # that reach it (4 each), not the 8004 of the family materialized to its
+    # bound; it is the xi the materialized product gives
+    from kquant import moves
+
+    built = []
+    real = moves._product_point
+    monkeypatch.setattr(moves, "_product_point", lambda *a: built.append(1) or real(*a))
+    _, cert = kq.bundle_modification(lazy_disk_family(bound=2000), kq.o_sphere(0), 3)
+    assert cert.verdict
+    assert len(built) == 20
+    monkeypatch.undo()
+    seen = []
+    real_index = moves.polarized_index
+    monkeypatch.setattr(moves, "polarized_index", lambda k, xi, w: seen.append(xi) or
+                        real_index(k, xi, w))
+    rng = random.Random(15)
+    for w in ((1, 0), (3, -1), (0, 2)):
+        # a sphere with fiber t^0 at both poles has index 1 for any weight w
+        fiber = kq.ClosedComponent("unit", (kq.point((0, 0), w),
+                                            kq.point((0, 0), tuple(-x for x in w))))
+        for _ in range(3):
+            k = random_closed_cycle_t2(rng)
+            out, cert = kq.bundle_modification(k, fiber, window=3)
+            assert cert.verdict
+            assert seen[-2:] == [kq.auto_polarization(out, k)] * 2
+
+
 def test_product_with_unit_point_is_identity():
     rng = random.Random(13)
     unit = one_component(kq.ClosedComponent("pt", (kq.point((0,)),)))
