@@ -3,11 +3,14 @@
 A record class names its fields, in order, in `_fields` and writes its
 own __init__.  Two records are equal when they are of the same class and
 their fields are equal in order, and the repr names the class and each
-field.  A Record is mutable and unhashable; a FrozenRecord hashes on its
-fields and refuses attribute assignment, so its __init__ writes through
-__dict__.  These are plain classes rather than dataclasses: the
-dataclasses module imports inspect and builds each class's methods with
-exec, which every CLI launch would pay for.
+field.  A Record is mutable and unhashable; a FrozenRecord refuses
+attribute assignment, so its __init__ writes through __dict__, and
+hashes the tuple of its fields, so it is hashable exactly when every
+field is: FixedPointDatum and ClosedComponent, which hold WeightPolynomials
+(__eq__ without __hash__), raise TypeError on hash().  These are plain
+classes rather than dataclasses: the dataclasses module imports inspect
+and builds each class's methods with exec, which every CLI launch would
+pay for.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """An immutable record: hashes on its fields; assignment raises AttributeError."""
+    """An immutable record: hashable exactly when its fields are; assignment raises AttributeError."""
 
     __slots__ = ()
 

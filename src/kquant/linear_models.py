@@ -26,13 +26,13 @@ Two independent routes compute the same invariant:
   count.  The per-model setup (Farkas vector, a greedy basis of the
   weights' span with the integer rows that make each search leaf one
   divisibility and sign test, from one elimination; the oriented wall
-  normals; the echelon basis of L) is built on the first call for a
-  model and kept on it, unchanged.  It reads only the weights, the
-  shift and the Farkas vector, uses neither multiplicities nor the
-  series' expansion, and shares no cache with the series route.  The
-  same setup counts a whole window in one pass.  The separation result
-  behind check_proper and farkas_vector is kept on the model too, so it
-  dies with the model.
+  normals; the plan of the walk over c + L) is built on the first call
+  for a model and kept on it, unchanged, so a call only walks.  It reads
+  only the weights, the shift and the Farkas vector, uses neither
+  multiplicities nor the series' expansion, and shares no cache with the
+  series route.  The same setup counts a whole window in one pass.
+  The separation result behind check_proper and farkas_vector is kept
+  on the model too, so it dies with the model.
 
 verify_qr counts the window in one pass and compares the two routes as
 sparse maps, {weight: nonzero series coefficient} against {weight:
@@ -61,7 +61,7 @@ import bisect
 import functools
 import itertools
 from fractions import Fraction
-from operator import add, mul, neg as negative
+from operator import add, neg as negative
 from typing import NamedTuple
 
 from ._exact import (cramer_kit, hermite_basis, hyperplanes, nullspace,
@@ -224,7 +224,7 @@ class ReductionCount(NamedTuple):
 class _LatticeCounter:
     """Per-model setup of the counting route; see reduction_multiplicity.
 
-    Walls and cone.  `walls` holds one flat tuple (*n, <n, c>, supporting)
+    Walls and cone.  `walls` holds one flat tuple (*n, <n, c>)
     (flat, as a model keeps its counter) per normal n of a hyperplane
     spanned by rank - 1 weights, oriented, where possible, so that every
     weight pairs >= 0 with it; such a supporting normal bounds the cone
@@ -241,22 +241,25 @@ class _LatticeCounter:
     axes of its gamma.  No slot changes after __init__.
 
     Targets.  A nonzero count needs gamma - c in the group L the weights
-    generate, and <n, gamma - c> >= 0 for the supporting normals and the
-    Farkas vector.  `basis` holds the echelon basis b_0, b_1, ... of L
-    (_exact.hermite_basis, flat, as walls): b_k is zero before its pivot
-    row and positive there, pivots increasing.  _targets enumerates gamma
-    = c + sum x_k b_k in a box level by level, and count runs it on the
-    one-point box [gamma, gamma].  Every tracked row (the
-    coordinates of gamma, the fields the count reads, that is <xi, gamma
-    - c> and the `leaf` rows, and the cone rows) is an affine column,
-    stepped by its pairing with b_k, its image.  A row is final once the
-    last vector that moves it is chosen; there the box bounds a coordinate
-    and the cone a cone row, each a closed-form range of x_k, and the
-    pivot coordinate always gives a finite one.  When no weight is looped
-    (see below) the cone rows are the leaf rows, and a target that passes
-    them counts 1 with no search: its one coefficient vector is integral
-    (gamma - c is in L) and nonnegative.  Otherwise the cone rows are xi
-    and the supporting normals, and _level counts the targets.
+    generate, and <n, gamma - c> >= 0 for the cone rows: the Farkas
+    vector xi and the supporting normals, or, when no weight is looped
+    (see below), the leaf rows.  _targets enumerates gamma = c + sum x_k
+    b_k in a box level by level, on the echelon basis b_0, b_1, ... of L
+    (_exact.hermite_basis: b_k is zero before its pivot row and positive
+    there, pivots increasing).  Every tracked row (the coordinates of
+    gamma, the fields the count reads, that is xi and the leaf rows, and
+    the cone rows) is an affine column, stepped at level k by its
+    pairing with b_k.  __init__ plans this walk, so a call computes no
+    model constant.  `images` holds one flat tuple per level, the image
+    of b_k on every tracked row.  `finals` holds, level after level and
+    flat, the number of bounded rows (coordinates and cone rows) that b_k
+    is the last to move, then those rows: there the box bounds a
+    coordinate and the cone a cone row, each a closed-form range of x_k,
+    and the pivot coordinate always gives a finite one.  `fixed` holds
+    the coordinates that no level moves, where the box must hold c.  When
+    no weight is looped, a target that passes the leaf rows counts 1 with
+    no search: its one coefficient vector is integral (gamma - c is in L)
+    and nonnegative.  Otherwise _level counts the targets.
 
     Counting.  The weights are sorted by increasing Farkas pairing, and
     one elimination (_exact.cramer_kit) takes from that end the greedy
@@ -270,33 +273,32 @@ class _LatticeCounter:
     form an interval met with one residue class mod period = det //
     gcd(det, step), the class of u * y // g (kit = (g, period, u), from
     _exact.residue_kit), counted in closed form (_last).  All targets of
-    a pass go through the levels together, as one list per leaf row, one
+    a box go through the levels together, as one list per leaf row, one
     of budgets and one of classes u * y (_search, _level), and no value
-    computed for one target is used for another.  Each looped weight's
-    step holds its leaf entries t and then u * t, so the class row is
-    computed once per target and stepped with the leaf rows.  The rows
-    whose last step entry is not 0 bound the interval, so only those with
-    entry 0 (`signs`) keep a sign test; the other rows (`divides`) test
-    divisibility only when the basis and the last looped weight generate
-    a smaller group than L, and are empty otherwise, as always with one
-    looped weight.
+    computed for one target is used for another; a window and a single
+    gamma (the one-point box) take the same pass, _counts.  Each looped
+    weight's step holds its leaf entries t and then u * t, so the class
+    row is computed once per target and stepped with the leaf rows.  The
+    rows whose last step entry is not 0 bound the interval, so only those
+    with entry 0 (`signs`) keep a sign test; the other rows (`divides`)
+    test divisibility only when the basis and the last looped weight
+    generate a smaller group than L, and are empty otherwise, as always
+    with one looped weight.
     """
 
-    __slots__ = ("shift", "xi", "det", "leaf", "steps", "kit", "signs", "divides", "basis",
-                 "walls", "span")
+    __slots__ = ("shift", "det", "steps", "kit", "signs", "divides", "walls", "span",
+                 "images", "finals", "fixed")
 
     def __init__(self, m: LinearModel):
         self.shift = c0 = m.shift
-        self.xi = xi = farkas_vector(m)
-        r = m.rank
+        xi, r = farkas_vector(m), m.rank
         ws = sorted(m.weights, key=lambda w: dot(w, xi))
-        basis, self.det, self.leaf = cramer_kit(ws, r)
+        basis, self.det, leaf = cramer_kit(ws, r)
         looped = [w for i, w in enumerate(ws) if i not in basis][::-1]
-        ts = [tuple(dot(row, w) for row in self.leaf) for w in looped]
+        ts = [tuple(dot(row, w) for row in leaf) for w in looped]
         self.kit = residue_kit(ts[-1] if ts else (), self.det)
         self.steps = tuple(((*t, dot(self.kit[2], t)), dot(w, xi)) for t, w in zip(ts, looped))
         lattice = hermite_basis(m.weights, r)
-        self.basis = sum(lattice, ())  # flat, as walls
         self.signs = self.divides = ()
         if looped:
             self.signs = tuple(i for i, s in enumerate(ts[-1]) if not s)
@@ -304,29 +306,34 @@ class _LatticeCounter:
                 self.divides = tuple(i for i, s in enumerate(ts[-1]) if s)
         normals = [neg(n) if all(dot(w, n) <= 0 for w in m.weights) else n
                    for n in hyperplanes(m.weights, r)]
-        self.walls = tuple((*n, dot(n, c0), all(dot(w, n) >= 0 for w in m.weights))
-                           for n in normals)
-        self.span = () if self.walls else tuple((*n, dot(n, c0), False)
-                                                for n in nullspace(m.weights, r))
-
-    def _vectors(self) -> list:
-        """The echelon basis of L, one vector per level."""
-        r = len(self.shift)
-        return [self.basis[i:i + r] for i in range(0, len(self.basis), r)]
+        self.walls = tuple((*n, dot(n, c0)) for n in normals)
+        self.span = () if self.walls else tuple((*n, dot(n, c0)) for n in nullspace(m.weights, r))
+        if looped:  # rows past the coordinates: xi and leaf, then the supporting normals
+            rows = (xi, *leaf, *(n for n in normals if all(dot(w, n) >= 0 for w in m.weights)))
+            cone = (r, *range(r + 1 + len(leaf), r + len(rows)))
+        else:
+            rows, cone = leaf, range(r, r + len(leaf))
+        self.images = tuple((*b, *(dot(row, b) for row in rows)) for b in lattice)
+        finals = [[] for _ in lattice]
+        for q in (*range(r), *cone):
+            if movers := [k for k, img in enumerate(self.images) if img[q]]:
+                finals[movers[-1]].append(q)
+        self.finals = tuple(x for qs in finals for x in (len(qs), *qs))
+        self.fixed = tuple(q for q in range(r) if not any(img[q] for img in self.images))
 
     def count(self, gamma) -> ReductionCount:
-        """(count, regular) at one gamma: the window pass on the one-point box [gamma, gamma]."""
-        r, cols = len(self.shift), self._targets(gamma, gamma)
-        if cols and self.steps:
-            n = self._search(cols[r], cols[r + 1:])[0]
-        else:
-            n = int(bool(cols))  # none, or independent weights: the cone rows were exact
-        return ReductionCount(n, self.regular([(g,) for g in gamma])[0])
+        """(count, regular) at one gamma: the box pass on the one-point box [gamma, gamma]."""
+        return ReductionCount(self._counts(gamma, gamma).get(gamma, 0),
+                              self.regular([(g,) for g in gamma])[0])
 
     def window(self, w) -> dict:
         """{gamma: count} for each gamma of [-w, w]^rank with a nonzero count."""
         r = len(self.shift)
-        cols = self._targets((-w,) * r, (w,) * r)
+        return self._counts((-w,) * r, (w,) * r)
+
+    def _counts(self, los, his) -> dict:
+        """{gamma: count} for each gamma of the box prod [los, his] with a nonzero count."""
+        r, cols = len(self.shift), self._targets(los, his)
         if not (cols and self.steps):
             return dict.fromkeys(zip(*cols[:r]), 1)  # none, or independent weights: the cone rows were exact
         if len(self.steps) > 1:  # _level reads the budgets in decreasing order
@@ -338,34 +345,21 @@ class _LatticeCounter:
     def _targets(self, los, his) -> list:
         """The columns of the targets in the box prod [los, his]: the coordinates, then xi and leaf.
 
-        The targets are enumerated level by level (see the class docstring):
-        a column holds one value per partial point, and level k keeps of each
-        point the range of x_k that the rows final there allow.  xi and leaf
-        are left out when no weight is looped, and [] stands for no target.
+        The walk of the class docstring: a column holds one value per partial
+        point, and level k keeps of each the x_k its final rows allow.  xi and
+        leaf are left out when no weight is looped; [] stands for no target.
         """
         c0, r = self.shift, len(self.shift)
-        if self.steps:  # rows past the coordinates: xi and leaf, then the supporting normals
-            rows = (self.xi, *self.leaf, *(n for *n, _, supporting in self.walls if supporting))
-            cone = (r, *range(r + 1 + len(self.leaf), r + len(rows)))
-        else:
-            rows, cone = self.leaf, range(r, r + len(self.leaf))
-        vectors = self._vectors()
-        images = [(*b, *(sum(map(mul, row, b)) for row in rows)) for b in vectors]
-        final = [[] for _ in vectors]  # the bounded rows that b_k is the last to move
-        for q, lo, hi in (*zip(range(r), los, his), *((q, 0, None) for q in cone)):
-            k = len(vectors)
-            while k and not images[k - 1][q]:
-                k -= 1
-            if k:
-                final[k - 1].append((q, lo, hi))
-            elif q < r and not lo <= c0[q] <= hi:
-                return []  # a coordinate no basis vector moves lies outside the box
-        kept = r + 1 + len(self.leaf) if self.steps else r  # the rows read after the last level
-        cols = [[c] for c in c0] + [[0] for _ in rows]
-        for k, img in enumerate(images):
+        if any(not los[q] <= c0[q] <= his[q] for q in self.fixed):
+            return []  # a coordinate no level moves lies outside the box
+        kept = r + len(self.steps[0][0]) if self.steps else r  # the rows read after the last level
+        cols = [[c] for c in c0] + ([[0] for _ in self.images[0][r:]] if self.images else [])
+        finals = iter(self.finals)
+        for k, img in enumerate(self.images):
             lows, highs = [], []
-            for q, lo, hi in final[k]:
+            for q in itertools.islice(finals, next(finals)):  # the rows final at level k
                 a, col = img[q], cols[q]
+                lo, hi = (los[q], his[q]) if q < r else (0, None)  # a coordinate, or a cone row
                 if a > 0:
                     lows.append([-((v - lo) // a) for v in col])
                     if hi is not None:
@@ -376,7 +370,7 @@ class _LatticeCounter:
                         lows.append([-((hi - v) // -a) for v in col])
             reps = [range(x, y + 1) for x, y in zip(map(max, *lows) if len(lows) > 1 else lows[0],
                                                      map(min, *highs) if len(highs) > 1 else highs[0])]
-            if k + 1 == len(images):
+            if k + 1 == len(self.images):
                 cols = cols[:kept]  # the cone rows are spent
             cols = [[v + s * x for v, rep in zip(col, reps) for x in rep] if s else
                     [v for v, rep in zip(col, reps) for _ in rep] for col, s in zip(cols, img)]
@@ -412,17 +406,19 @@ class _LatticeCounter:
         u * y.  The leaf rows alone decide (the target lies in c + L, so y
         is in the span): each entry of y - a * step must be a nonnegative
         multiple of det.  The rows whose entry s is > 0 bound a above and
-        those with s < 0 below (from 0), so every a of [lo, hi] passes
-        their sign tests, and only the rows with s == 0 (`signs`) test y
-        >= 0.  Some s is > 0: step is det times the weight's coefficients
-        on the basis, so were every entry <= 0 it would pair <= 0 with xi.
-        No budget is needed either: the remainder pairs with xi as sum_i
-        (y - a * step)_i / det * <b_i, xi>, >= 0 once the entries are.  The
-        multiples hold, if at all, on the class of u * y // g mod period
-        (_exact.residue_kit), from its first a >= lo.  When the basis and
-        this weight generate L, y is an integer combination of them, so the
-        class exists; otherwise the rows of `signs` and `divides` are
-        tested at that a.
+        those with s < 0 below (from lo = 0), so every a of [lo, hi] passes
+        their sign tests.  Some s is > 0: step is det times the weight's
+        coefficients on the basis, so were every entry <= 0 it would pair
+        <= 0 with xi.  No budget is needed either: the remainder pairs with
+        xi as sum_i (y - a * step)_i / det * <b_i, xi>, >= 0 once the
+        entries are.  The multiples hold, if at all, on the class of u * y
+        // g mod period (_exact.residue_kit), whose first member from lo is
+        lo + (u * y // g - lo) mod period.  The rows with s == 0 (`signs`)
+        do not move with a, so each is tested once: y >= 0 and a multiple
+        of det.  When the basis and this weight generate L, y is an integer
+        combination of them, so the class exists and the multiple test
+        holds already; otherwise the rows of `divides` are tested at the
+        first member too.
         """
         det, (g, period, _), step = self.det, self.kit, self.steps[-1][0]
         *ys, cs = ys
@@ -434,16 +430,12 @@ class _LatticeCounter:
             elif s < 0:
                 los = ([q if (q := -(y // -s)) > 0 else 0 for y in col] if los is None else
                        [q if (q := -(y // -s)) > lo else lo for lo, y in zip(los, col)])
-        if period == 1:  # every a is in the class
-            firsts = los or [0] * len(his)
-        elif los is None:
-            firsts = [c // g % period for c in cs]
-        else:
-            firsts = [lo + (c // g - lo) % period for lo, c in zip(los, cs)]
+        firsts = los or [0] * len(cs)
+        if period > 1:  # else every a is in the class
+            firsts = [lo + (c // g - lo) % period for lo, c in zip(firsts, cs)]
         ns = [n if (n := (h - a) // period + 1) > 0 else 0 for h, a in zip(his, firsts)]
-        for i in self.signs:  # with divides, y must be a multiple of det too
-            ns = ([n if y >= 0 and not y % det else 0 for n, y in zip(ns, ys[i])] if self.divides
-                  else [n if y >= 0 else 0 for n, y in zip(ns, ys[i])])
+        for i in self.signs:
+            ns = [n if y >= 0 and not y % det else 0 for n, y in zip(ns, ys[i])]
         for i in self.divides:
             s = step[i]
             ns = [0 if (y - a * s) % det else n for n, y, a in zip(ns, ys[i], firsts)]
@@ -454,7 +446,7 @@ class _LatticeCounter:
         r = len(self.shift)
         big = max((abs(g) for axis in axes for g in axis), default=0)
         packed, const, half, ones, p = [0] * r, 0, 0, 0, 0
-        for *n, c, _ in self.walls or self.span:
+        for *n, c in self.walls or self.span:
             top = 1 << p + (sum(map(abs, n)) * big + abs(c)).bit_length()
             packed = [x + (v << p) for x, v in zip(packed, n)]
             const += top - (c << p)
@@ -475,15 +467,16 @@ def reduction_multiplicity(m: LinearModel, gamma) -> ReductionCount:
 
     Counts #{a in Z_{>=0}^d : sum a_j w_j + c = gamma}; gamma is regular
     iff gamma - c avoids every wall spanned by fewer than rank weights
-    (tested on the maximal walls, by one packed pairing).  Both are the
-    window pass on the one-point box [gamma, gamma]: gamma is a target
-    only if gamma - c is in the group the weights generate and pairs >= 0
-    with the normals that support their cone (else the count is 0); then
-    the count loops the weights outside a greedy basis of their span but
-    the last, bounded by the Farkas vector (a_j <= <gamma-c, xi> / <w_j,
-    xi>), takes the last one's coefficient from one residue class in
-    closed form and solves the basis exactly.  The setup is built on a
-    model's first call and kept on it (_LatticeCounter).
+    (tested on the maximal walls, by one packed pairing).  The count is
+    the window's box pass on the one-point box [gamma, gamma], read from
+    its sparse result: gamma is a target only if gamma - c is in the
+    group the weights generate and pairs >= 0 with the cone rows (else
+    the count is 0); then the count loops the weights outside a greedy
+    basis of their span but the last, bounded by the Farkas vector (a_j
+    <= <gamma-c, xi> / <w_j, xi>), takes the last one's coefficient from
+    one residue class in closed form and solves the basis exactly.  The
+    setup and the plan of the target walk are built on a model's first
+    call and kept on it (_LatticeCounter).
     """
     return m._counter.count(m.datum.check_weight(gamma))
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import kquant as kq
-from kquant._exact import nullspace, solve
+from kquant._exact import cramer_kit, hyperplanes, nullspace, solve
 from kquant.linear_models import VanishingComponent
 
 T1 = kq.build_root_datum("torus", 1)
@@ -399,24 +399,38 @@ def glued_components(m):
     return out
 
 
+def leaf_kit(m):
+    """(xi, det, leaf, looped): the count's leaf set-up, recomputed from the model alone.
+
+    xi is the Farkas vector; sorted by their pairing with it, the weights
+    give _exact.cramer_kit's greedy basis of their span, solved by the
+    Cramer rows `leaf` with det; the other weights are looped, largest
+    pairing first.
+    """
+    xi = kq.farkas_vector(m)
+    ws = sorted(m.weights, key=lambda w: sum(map(operator.mul, w, xi)))
+    basis, det, leaf = cramer_kit(ws, m.rank)
+    return xi, det, leaf, [w for i, w in enumerate(ws) if i not in basis][::-1]
+
+
 def recursive_count(m, gamma):
     """Reference lattice count of one gamma by a depth-first search per target.
 
-    Uses the model counter's setup (Farkas vector xi, Cramer rows `leaf`
-    with det, the leaf entries of the loop steps) and lattice_tests, but
-    none of its counting: a target outside the group of the weights counts
-    0; otherwise each
-    looped weight's coefficient runs over its Farkas budget, and the last
-    level bounds its coefficient a by the signs of y - a * step and scans
-    up to `period` candidates for the first a whose entries det divides.
+    Uses the counting route's leaf set-up (leaf_kit: Farkas vector xi,
+    Cramer rows `leaf` with det, the looped weights) and lattice_tests,
+    but none of the counter: a target outside the group of the weights
+    counts 0; otherwise each looped weight's coefficient runs over its
+    Farkas budget, and the last level bounds its coefficient a by the
+    signs of y - a * step and scans up to `period` candidates for the
+    first a whose entries det divides.
     """
-    ctr = m._counter
     dot = lambda u, v: sum(map(operator.mul, u, v))
     target = tuple(g - c for g, c in zip(gamma, m.shift))
     if any(dot(n, target) % mod if mod else dot(n, target)
            for n, mod in _model_lattice_tests(m.weights, m.rank)):
         return 0
-    det, steps = ctr.det, [(step[:len(ctr.leaf)], pw) for step, pw in ctr.steps]
+    xi, det, leaf, looped = _model_leaf_kit(m.weights, m.rank)
+    steps = [(tuple(dot(row, w) for row in leaf), dot(w, xi)) for w in looped]
     period = det // math.gcd(det, *steps[-1][0]) if steps else 1
 
     def last(y, hi, step):
@@ -444,8 +458,8 @@ def recursive_count(m, gamma):
             b -= pw
         return total
 
-    y = tuple(dot(row, target) for row in ctr.leaf)
-    return search(0, y, dot(target, ctr.xi)) if steps else last(y, 0, (0,) * len(y))
+    y = tuple(dot(row, target) for row in leaf)
+    return search(0, y, dot(target, xi)) if steps else last(y, 0, (0,) * len(y))
 
 
 def lattice_tests(weights, rank):
@@ -481,6 +495,12 @@ def lattice_tests(weights, rank):
 
 
 @functools.lru_cache(maxsize=None)
+def _model_leaf_kit(weights, rank):
+    """leaf_kit of a model's weights (it reads no shift), once per weights."""
+    return leaf_kit(kq.linear_model(weights, (0,) * rank))
+
+
+@functools.lru_cache(maxsize=None)
 def _model_lattice_tests(weights, rank):
     """lattice_tests of a model's weights, once per weights (recursive_count runs per gamma)."""
     return lattice_tests(weights, rank)
@@ -498,43 +518,48 @@ def _box_sums(v, base, axes):
 def box_counts(m, axes):
     """Reference (regular, counts) on product(*axes) by a pass over the whole box.
 
-    Pairs every point gamma - c with each of the counter's walls, one
-    column per wall, and with lattice_tests' functionals: regular holds
-    one flag per point, in product order (off every wall, or off the
-    span, lattice_tests' modulus-0 rows, when there is no wall), and
-    counts the nonzero count of each point that pairs >= 0 with the
-    supporting walls and lies in the group of the weights, from the
-    counter's own search kernels (_search, _level, _last) on fields summed
-    per point.
+    Pairs every point gamma - c with each normal of _exact.hyperplanes
+    (the hyperplanes spanned by rank - 1 weights), one column per normal,
+    and with lattice_tests' functionals: regular holds one flag per
+    point, in product order (off every hyperplane, or off the span,
+    lattice_tests' modulus-0 rows, when there is no hyperplane), and
+    counts the nonzero count of each point that lies on the weights' side
+    of each normal they all pair >= 0 or <= 0 with and in the group of
+    the weights, from the counter's own search kernels (_search, _level,
+    _last) on fields summed per point (leaf_kit's xi and leaf rows).
     """
-    ctr = m._counter
-    c0 = ctr.shift
+    dot = lambda u, v: sum(map(operator.mul, u, v))
+    ctr, c0 = m._counter, m.shift
     regular = inside = [True] * math.prod(map(len, axes))
-    for *n, nc, supporting in ctr.walls:
-        vs = _box_sums(n, -nc, axes)
+    normals = hyperplanes(m.weights, m.rank)
+    for n in normals:
+        vs = _box_sums(n, -dot(n, c0), axes)
         regular = [a and v != 0 for a, v in zip(regular, vs)]
-        if supporting:
+        pairs = [dot(w, n) for w in m.weights]
+        if all(p >= 0 for p in pairs):
             inside = [a and v >= 0 for a, v in zip(inside, vs)]
+        if all(p <= 0 for p in pairs):
+            inside = [a and v <= 0 for a, v in zip(inside, vs)]
     span = []  # the span rows' columns, when the span is the one wall
     for n, mod in lattice_tests(m.weights, m.rank):
-        vs = _box_sums(n, -sum(map(operator.mul, n, c0)), axes)
+        vs = _box_sums(n, -dot(n, c0), axes)
         inside = [a and not (v % mod if mod else v) for a, v in zip(inside, vs)]
-        if not (mod or ctr.walls):
+        if not (mod or normals):
             span.append(vs)
     if span:
         regular = [any(z) for z in zip(*span)]
     gammas = list(itertools.compress(itertools.product(*axes), inside))
     n = len(gammas)
-    if not ctr.steps and len(ctr.leaf) == len(c0):
+    xi, _, leaf, looped = leaf_kit(m)
+    if not looped and len(leaf) == len(c0):
         counts = [1] * n  # simplicial: the cone and lattice tests were exact
     else:
-        bs, *ys = ([sum(map(operator.mul, row, g)) - sum(map(operator.mul, row, c0))
-                    for g in gammas] for row in (ctr.xi, *ctr.leaf))
+        bs, *ys = ([dot(row, g) - dot(row, c0) for g in gammas] for row in (xi, *leaf))
         order = range(n)
-        if len(ctr.steps) > 1:
+        if len(looped) > 1:
             order = sorted(order, key=bs.__getitem__, reverse=True)
             bs, ys = [bs[i] for i in order], [[col[i] for i in order] for col in ys]
-        found = (ctr._search(bs, ys) if ctr.steps else  # else the one solution must be >= 0
+        found = (ctr._search(bs, ys) if looped else  # else the one solution must be >= 0
                  [int(all(col[i] >= 0 for col in ys)) for i in range(n)])
         counts = [0] * n
         for i, c in zip(order, found):

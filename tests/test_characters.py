@@ -48,6 +48,10 @@ def test_exact_divide_basic():
     assert exact_divide(num, den) == one + t + t * t + t * t * t
     with pytest.raises(ArithmeticError):
         exact_divide(one + t, one - t)
+    # (3 + 3t) / (2 + 2t) has its support in the quotient box but needs the
+    # coefficient 3/2: the remainder test stops at the first term
+    with pytest.raises(ArithmeticError, match=r"stuck at term \(1,\)"):
+        exact_divide(WP({(0,): 3, (1,): 3}), WP({(0,): 2, (1,): 2}))
 
 
 @settings(max_examples=60, deadline=None)

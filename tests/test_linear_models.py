@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import kquant as kq
 from helpers import (T1, box_counts, fraction_nullspace, fraction_solve, glued_components,
-                     lattice_tests, maximal_wall_normals, per_support_vertices,
+                     lattice_tests, leaf_kit, maximal_wall_normals, per_support_vertices,
                      random_proper_model, recursive_count)
 
 WP = kq.WeightPolynomial
@@ -384,7 +384,8 @@ def test_counter_state_is_fixed_at_construction():
     for m in models:
         ctr = m._counter
         slots = {name: getattr(ctr, name) for name in type(ctr).__slots__}
-        huge = [tuple(c - 10**30 * x + k for c, x in zip(m.shift, ctr.xi)) for k in range(3)]
+        huge = [tuple(c - 10**30 * x + k for c, x in zip(m.shift, kq.farkas_vector(m)))
+                for k in range(3)]
         small = [kq.reduction_multiplicity(m, g) for g in kq.dominant_window(m.datum, 1)]
         assert [kq.reduction_multiplicity(m, g).count for g in huge] == [0, 0, 0]
         for window in range(4):
@@ -695,11 +696,14 @@ def test_last_looped_weight_has_a_positive_leaf_entry():
     models += [kq.linear_model(w, c) for w, c in _DEPENDENT_TAIL + _DEGENERATE]
     looped = 0
     for m in models:
-        ctr = m._counter
-        if ctr.steps:
+        xi, _, leaf, ws = leaf_kit(m)
+        assert len(m._counter.steps) == len(ws), m.to_dict()
+        if ws:
             looped += 1
-            step, pw = ctr.steps[-1]
-            assert pw > 0 and max(step[:len(ctr.leaf)]) > 0, m.to_dict()
+            step, pw = m._counter.steps[-1]
+            t = tuple(sum(map(mul, row, ws[-1])) for row in leaf)
+            assert step[:len(t)] == t and pw == sum(map(mul, ws[-1], xi)), m.to_dict()
+            assert pw > 0 and max(t) > 0, m.to_dict()
     assert looped > 100
 
 
@@ -775,6 +779,33 @@ def _proper_models(draw):
     pair = lambda w: sum(map(mul, w, xi))
     ws = draw(st.lists(entries.filter(pair), min_size=1, max_size=5))
     return kq.linear_model([w if pair(w) > 0 else tuple(-x for x in w) for w in ws], draw(entries))
+
+
+@pytest.mark.parametrize("route", [
+    lambda m, window: kq.formal_quantization(m, window).coeffs,
+    lambda m, window: m._counter.window(window),
+], ids=["series", "counts"])
+def test_each_route_satisfies_the_deletion_recurrence(route):
+    # P_W(gamma) - P_W(gamma - w) = P_{W - w}(gamma) for each weight w, with
+    # the same shift: t^c (1 - t^w) / prod_v (1 - t^v) drops the factor of w.
+    # Each route is checked against itself, never against the other one.
+    rng = random.Random(97)
+    window, checks, nonzero = 3, 0, 0
+    for _ in range(120):
+        m = random_proper_model(rng, max_d=5, max_r=3, entry=2)
+        box = list(itertools.product(range(-window, window + 1), repeat=m.rank))
+        full = route(m, window)
+        for j, w in enumerate(m.weights):
+            if w in m.weights[:j]:
+                continue  # the same recurrence as for the first copy
+            rest = route(kq.linear_model(m.weights[:j] + m.weights[j + 1:], m.shift), window)
+            for g in box:
+                h = tuple(a - b for a, b in zip(g, w))
+                if max(map(abs, h)) <= window:
+                    assert full.get(g, 0) - full.get(h, 0) == rest.get(g, 0), (m.to_dict(), w, g)
+                    checks += 1
+                    nonzero += g in rest
+    assert checks > 30000 and nonzero > 3000, (checks, nonzero)
 
 
 @settings(max_examples=80, deadline=None)
