@@ -41,6 +41,14 @@ def _checked(terms, key) -> dict:
     return out
 
 
+def _window(window) -> int:
+    """A formal character's window: an int (as_int), WindowExhausted below 0."""
+    window = as_int(window)
+    if window < 0:
+        raise WindowExhausted(f"window {window} is empty")
+    return window
+
+
 def _sum(a: dict, b: dict) -> dict:
     """The sparse sum of two maps to nonzero ints: keys that cancel are dropped."""
     out = dict(a)
@@ -65,6 +73,13 @@ class WeightPolynomial:
 
     def __init__(self, terms=()):
         self.terms = _checked(terms, as_weight)
+
+    @staticmethod
+    def _of(terms: dict) -> "WeightPolynomial":
+        """The polynomial of a dict of weight tuples to nonzero ints, taken as is."""
+        p = object.__new__(WeightPolynomial)
+        p.terms = terms
+        return p
 
     @staticmethod
     def monomial(w, c=1) -> "WeightPolynomial":
@@ -101,19 +116,18 @@ class WeightPolynomial:
         return isinstance(other, WeightPolynomial) and self.terms == other.terms
 
     def __neg__(self):
-        return WeightPolynomial((w, -c) for w, c in self.terms.items())
+        return WeightPolynomial._of({w: -c for w, c in self.terms.items()})
 
     def __add__(self, other):
-        p = WeightPolynomial()
-        p.terms = _sum(self.terms, other.terms)
-        return p
+        return WeightPolynomial._of(_sum(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return WeightPolynomial((w, other * c) for w, c in self.terms.items())
+            return WeightPolynomial._of({w: other * c for w, c in self.terms.items()}
+                                        if other else {})
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -123,9 +137,7 @@ class WeightPolynomial:
                     out[w] = c
                 else:
                     del out[w]
-        p = WeightPolynomial()
-        p.terms = out
-        return p
+        return WeightPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -190,9 +202,7 @@ def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomi
                 rem[v] = r
             else:
                 rem.pop(v, None)
-    out = WeightPolynomial()
-    out.terms = quot
-    return out
+    return WeightPolynomial._of(quot)
 
 
 def weyl_character(datum: RootDatum, lam) -> WeightPolynomial:
@@ -207,11 +217,11 @@ def weyl_character(datum: RootDatum, lam) -> WeightPolynomial:
     if not is_dominant(datum, lam):
         raise NotDominant(f"{lam} is not dominant for {datum}")
     rho = datum.rho
-    out = WeightPolynomial((sub(img, rho), s)
-                           for img, s, _ in signed_orbit_with_images(datum, add(lam, rho)))
-    one = WeightPolynomial.one(datum.rank)
+    out = WeightPolynomial._of({sub(img, rho): s
+                                for img, s, _ in signed_orbit_with_images(datum, add(lam, rho))})
+    zero = (0,) * datum.rank
     for alpha in datum.positive_roots:
-        out = exact_divide(out, one - WeightPolynomial.monomial(neg(alpha)))
+        out = exact_divide(out, WeightPolynomial._of({zero: 1, neg(alpha): -1}))
     return out
 
 
@@ -233,8 +243,11 @@ def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
     chamber; a strictly dominant end point lam + rho adds the signed c_nu
     to m_lam, and one on a wall adds nothing.  A torus has no simple
     coordinates, so its character is its own decomposition.  Raises
-    NotInvariant when the input is not a virtual character.
+    NotInvariant when the input is not a virtual character, and
+    ValueError when a weight's length is not the datum's rank.
     """
+    for nu in p.terms:  # the caller's weights
+        datum.check_weight(nu)
     _check_invariant(datum, p)
     n = len(datum.simple_roots)
     mults = {}
@@ -248,7 +261,7 @@ def decompose(datum: RootDatum, p: WeightPolynomial) -> "Character":
         if low > 0:
             lam = sub(x, datum.rho)
             mults[lam] = mults.get(lam, 0) + c
-    return Character(datum, mults)
+    return Character._of(datum, {lam: m for lam, m in mults.items() if m})
 
 
 class Character(Record):
@@ -275,10 +288,10 @@ class Character(Record):
     def __add__(self, other):
         if self.datum != other.datum:
             raise ValueError("datum mismatch")
-        return Character(self.datum, _sum(self.mults, other.mults))
+        return Character._of(self.datum, _sum(self.mults, other.mults))
 
     def __neg__(self):
-        return Character(self.datum, {w: -m for w, m in self.mults.items()})
+        return Character._of(self.datum, {w: -m for w, m in self.mults.items()})
 
     def weight_polynomial(self) -> WeightPolynomial:
         """Expand back to the weight level."""
@@ -316,17 +329,16 @@ class FormalCharacter(Record):
     Multiplicities of irreducibles are exact for every dominant weight
     of sup-norm <= window and unspecified outside; its sum and product
     (formal_multiply) are Character's, cut to the window.  Construction
-    checks every key and multiplicity; results the engine builds from
-    keys it has already cut to the window skip those checks (_trusted).
+    checks the window and every key and multiplicity; a sum, negation,
+    restriction or cut of a Character holds checked keys and is built with
+    _of, restrict and from_character checking only the window given.
     """
 
     _fields = ("datum", "window", "coeffs")
 
     def __init__(self, datum: RootDatum, window: int, coeffs=()):
         self.datum = datum
-        self.window = as_int(window)
-        if self.window < 0:
-            raise WindowExhausted(f"window {self.window} is empty")
+        self.window = _window(window)
         self.coeffs = _checked(coeffs, self._key)
 
     def _key(self, w):
@@ -336,14 +348,6 @@ class FormalCharacter(Record):
         if sup_norm(w) > self.window:
             raise WindowExhausted(f"key {w} outside window {self.window}")
         return w
-
-    @staticmethod
-    def _trusted(datum: RootDatum, window: int, coeffs: dict) -> "FormalCharacter":
-        """A result whose coeffs hold only nonzero multiplicities at checked
-        keys inside the window; only the window itself is checked."""
-        f = FormalCharacter(datum, window)
-        f.coeffs = coeffs
-        return f
 
     def mult(self, w) -> int:
         w = self.datum.check_weight(w)
@@ -355,10 +359,11 @@ class FormalCharacter(Record):
         return sorted(self.coeffs.items())
 
     def restrict(self, window: int) -> "FormalCharacter":
+        window = _window(window)
         if window > self.window:
             raise WindowExhausted(f"cannot grow window {self.window} to {window}")
         kept = {w: m for w, m in self.coeffs.items() if sup_norm(w) <= window}
-        return FormalCharacter._trusted(self.datum, window, kept)
+        return FormalCharacter._of(self.datum, window, kept)
 
     def agrees_with(self, other: "FormalCharacter") -> bool:
         """Equality of multiplicities over the shared window: the difference is 0 there."""
@@ -368,21 +373,21 @@ class FormalCharacter(Record):
         if self.datum != other.datum:
             raise ValueError("datum mismatch")
         b = min(self.window, other.window)
-        total = _sum(self.coeffs, other.coeffs)
-        kept = {w: total[w] for w in sorted(total) if sup_norm(w) <= b}
-        return FormalCharacter._trusted(self.datum, b, kept)
+        kept = {w: m for w, m in _sum(self.coeffs, other.coeffs).items() if sup_norm(w) <= b}
+        return FormalCharacter._of(self.datum, b, kept)
 
     def __neg__(self):
-        return FormalCharacter._trusted(self.datum, self.window,
-                                        {w: -m for w, m in self.coeffs.items()})
+        return FormalCharacter._of(self.datum, self.window,
+                                   {w: -m for w, m in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     @staticmethod
     def from_character(ch: Character, window: int) -> "FormalCharacter":
+        window = _window(window)
         kept = {w: m for w, m in ch.mults.items() if sup_norm(w) <= window}
-        return FormalCharacter._trusted(ch.datum, window, kept)
+        return FormalCharacter._of(ch.datum, window, kept)
 
     @staticmethod
     def from_weight_polynomial(datum: RootDatum, p: WeightPolynomial,

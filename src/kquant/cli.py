@@ -20,8 +20,8 @@ from .errors import EngineError
 from .linear_models import (LinearModel, formal_quantization, model_cycle,
                             farkas_vector, reduction_multiplicity,
                             vanishing_decomposition, verify_qr)
-from .localization import (ClosedComponent, DiscreteKCycle, auto_polarization,
-                           closed_index, closed_sum, polarized_index)
+from .localization import (ClosedComponent, DiscreteKCycle, closed_index,
+                           closed_sum, polarized_index)
 from .moves import (bundle_modification, certify_disjoint_union,
                     certify_disk_decomposition, certify_glue_split,
                     certify_product, compare_cycles)
@@ -86,8 +86,7 @@ def _run_index(args):
             raise CLIError("index takes --polarization only with --window")
         terms = closed_sum(k).to_list()
         return 0, lambda: {"terms": terms}, lambda: _terms_table(terms)
-    xi = args.polarization or auto_polarization(k)
-    return (0, *_window_views(polarized_index(k, xi, args.window)))
+    return (0, *_window_views(polarized_index(k, args.polarization, args.window)))
 
 
 def _run_quantize(args):

@@ -125,8 +125,7 @@ class LinearModel(FrozenRecord):
     @staticmethod
     def from_dict(d: dict) -> "LinearModel":
         datum = build_root_datum("torus", d["rank"])
-        return LinearModel(datum, tuple(tuple(w) for w in d["weights"]),
-                           tuple(d["shift"]))
+        return LinearModel(datum, d["weights"], d["shift"])
 
 
 def linear_model(weights, shift) -> LinearModel:
@@ -198,13 +197,12 @@ def model_cycle(m: LinearModel) -> DiscreteKCycle:
     convention of the localization engine, tangent weights equal to the
     negated action weights, so its polarized expansion at the Farkas
     vector is exactly t^c prod (1 - t^{w_j})^{-1}.  The model's weights
-    and shift are checked when it is built, so the point and the cycle
-    are built trusted (FixedPointDatum._trusted, DiscreteKCycle._trusted),
-    without checking them again.
+    and shift are checked when it is built, so the point, its component
+    and the cycle are built with _of, without checking them again.
     """
-    pt = FixedPointDatum._trusted(tuple(neg(w) for w in m.weights),
-                                  WeightPolynomial.monomial(m.shift))
-    return DiscreteKCycle._trusted(m.datum, ((1, ClosedComponent("C^d", (pt,))),))
+    pt = FixedPointDatum._of(tuple(neg(w) for w in m.weights),
+                             WeightPolynomial._of({m.shift: 1}), 1)
+    return DiscreteKCycle._of(m.datum, ((1, ClosedComponent._of("C^d", (pt,))),), None, None)
 
 
 def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:

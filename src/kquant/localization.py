@@ -82,15 +82,6 @@ class FixedPointDatum(FrozenRecord):
         self.__dict__.update(tangent_weights=tangent_weights, fiber_character=fiber_character,
                              orbifold_order=orbifold_order)
 
-    @staticmethod
-    def _trusted(tangent_weights: tuple, fiber_character: WeightPolynomial) -> "FixedPointDatum":
-        """A point of order 1 from checked data: a tuple of nonzero weight
-        tuples and a nonzero WeightPolynomial; no check is repeated."""
-        p = object.__new__(FixedPointDatum)
-        p.__dict__.update(tangent_weights=tangent_weights, fiber_character=fiber_character,
-                          orbifold_order=1)
-        return p
-
     def to_dict(self):
         return {"tangent": [list(w) for w in self.tangent_weights],
                 "fiber": self.fiber_character.to_list(),
@@ -98,8 +89,7 @@ class FixedPointDatum(FrozenRecord):
 
     @staticmethod
     def from_dict(d):
-        return FixedPointDatum(tuple(tuple(w) for w in d["tangent"]),
-                               WeightPolynomial.from_list(d["fiber"]),
+        return FixedPointDatum(d["tangent"], WeightPolynomial.from_list(d["fiber"]),
                                d.get("order", 1))
 
 
@@ -131,6 +121,14 @@ class ClosedComponent(FrozenRecord):
         return as_int(d.get("sign", 1)), ClosedComponent(str(d.get("label", "")), pts)
 
 
+def _sign(sign) -> int:
+    """A component sign: an int (as_int) that is +-1, or ValueError."""
+    sign = as_int(sign)
+    if sign not in (-1, 1):
+        raise ValueError(f"component sign must be +-1, got {sign}")
+    return sign
+
+
 class DiscreteKCycle(Record):
     """Signed, finite or bounded-enumerable, list of closed components.
 
@@ -154,9 +152,7 @@ class DiscreteKCycle(Record):
 
     def _checked(self, sign, comp: ClosedComponent):
         """(sign, comp) once sign is +-1 and comp's weights fit the datum."""
-        sign = as_int(sign)
-        if sign not in (-1, 1):
-            raise ValueError(f"component sign must be +-1, got {sign}")
+        sign = _sign(sign)
         for p in comp.fixed_points:
             for w in p.tangent_weights:
                 self.datum.check_weight(w)
@@ -164,34 +160,27 @@ class DiscreteKCycle(Record):
                 self.datum.check_weight(w)
         return sign, comp
 
-    @staticmethod
-    def _trusted(datum: RootDatum, components: tuple) -> "DiscreteKCycle":
-        """A finite cycle of checked (sign, component) pairs: signs +-1 and
-        weights that fit the datum; no check is repeated."""
-        k = object.__new__(DiscreteKCycle)
-        k.__dict__.update(datum=datum, components=components, family=None,
-                          enumeration_bound=None)
-        return k
-
     def _mapped(self, f) -> "DiscreteKCycle":
-        """f(sign, comp) in place of every (sign, comp), the family's included."""
+        """f(sign, comp) in place of every (sign, comp), the family's included;
+        f maps checked pairs to checked pairs, so none is checked again."""
         base = self.family
         fam = None if base is None else (lambda i: f(*base(i)))
-        return DiscreteKCycle(self.datum, tuple(f(s, c) for s, c in self.components),
-                              fam, self.enumeration_bound)
+        return DiscreteKCycle._of(self.datum, tuple(f(s, c) for s, c in self.components),
+                                  fam, self.enumeration_bound)
 
     def negate(self) -> "DiscreteKCycle":
         """Orientation reversal: negates every component sign."""
         return self._mapped(lambda s, c: (-s, c))
 
     def materialized(self) -> "DiscreteKCycle":
-        """Expand the family (if any) into an explicit component list."""
+        """Expand the family (if any) into an explicit component list; only its
+        members are checked (_checked), as the held components were when built."""
         if self.family is None:
             return self
         if self.enumeration_bound is None:
             raise EnumerationUnbounded("infinite component family without enumeration_bound")
-        extra = tuple(self.family(i) for i in range(self.enumeration_bound + 1))
-        return DiscreteKCycle(self.datum, self.components + extra)  # checked there
+        extra = tuple(self._checked(*self.family(i)) for i in range(self.enumeration_bound + 1))
+        return DiscreteKCycle._of(self.datum, self.components + extra, None, None)
 
     def iter_certified(self, xi, maxpair):
         """Yield components whose terms can reach pairing <= maxpair.
@@ -231,8 +220,7 @@ class DiscreteKCycle(Record):
     def from_dict(d: dict) -> "DiscreteKCycle":
         datum = RootDatum.from_dict(d["datum"])
         comps = tuple(ClosedComponent.from_dict(c) for c in d.get("components", []))
-        return DiscreteKCycle(datum, comps,
-                              enumeration_bound=d.get("enumeration_bound"))
+        return DiscreteKCycle(datum, comps, None, d.get("enumeration_bound"))
 
 
 def closed_index(component: ClosedComponent, datum: RootDatum = None) -> WeightPolynomial:
@@ -248,8 +236,7 @@ def closed_index(component: ClosedComponent, datum: RootDatum = None) -> WeightP
     Orbifold orders act by diagonal cyclic averaging as described in the
     module docstring.
     """
-    rank = len(next(iter(component.fixed_points[0].fiber_character.terms)))
-    one = WeightPolynomial.one(rank)
+    zero = (0,) * len(next(iter(component.fixed_points[0].fiber_character.terms)))
     local = []
     common = Counter()
     for p in component.fixed_points:
@@ -261,24 +248,24 @@ def closed_index(component: ClosedComponent, datum: RootDatum = None) -> WeightP
         factors = Counter()
         for w in p.tangent_weights:
             if m > 1:
-                num = num * WeightPolynomial((scale(-i, w), 1) for i in range(m))
+                num = num * WeightPolynomial._of({scale(-i, w): 1 for i in range(m)})
             v = scale(-m, w)
             u = max(v, neg(v))  # the lex-positive one of +-v
             if u != v:
-                num = num * WeightPolynomial.monomial(u, -1)
+                num = num * WeightPolynomial._of({u: -1})
             factors[u] += 1
         if m > 1:
-            num = WeightPolynomial({w: c for w, c in num.items() if sum(w) % m == 0})
+            num = WeightPolynomial._of({w: c for w, c in num.items() if sum(w) % m == 0})
         local.append((num, factors))
         common |= factors
     total = WeightPolynomial.zero()
     for num, factors in local:
         for u in (common - factors).elements():
-            num = num * (one - WeightPolynomial.monomial(u))
+            num = num * WeightPolynomial._of({zero: 1, u: -1})
         total = total + num
     try:
         for u in common.elements():
-            total = exact_divide(total, one - WeightPolynomial.monomial(u))
+            total = exact_divide(total, WeightPolynomial._of({zero: 1, u: -1}))
     except ArithmeticError as exc:
         raise NotClosed(f"component {component.label!r}: {exc}") from exc
     return total
@@ -313,14 +300,15 @@ def auto_polarization(*cycles: DiscreteKCycle) -> tuple:
 
     Uses xi = (1, b, b^2, ...) with b one more than the largest tangent
     coordinate in absolute value: a zero pairing would be a vanishing
-    base-b expansion with digits below b, forcing a zero weight.
+    base-b expansion with digits below b, forcing a zero weight.  At rank
+    1 that is (1,) whatever b is, so no component is read: a family
+    member that breaks a check is then reported only when a later use
+    reaches it, as with an xi given by the caller.
     """
-    big = 0
-    for k in cycles:
-        for _, comp in k.materialized().components:
-            for p in comp.fixed_points:
-                for w in p.tangent_weights:
-                    big = max(big, sup_norm(w))
+    if cycles[0].datum.rank == 1:
+        return (1,)
+    big = max((sup_norm(w) for k in cycles for _, comp in k.materialized().components
+               for p in comp.fixed_points for w in p.tangent_weights), default=0)
     return tuple((big + 1) ** i for i in range(cycles[0].datum.rank))
 
 
@@ -579,16 +567,11 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
                     acc[v] = cc
                 else:
                     del acc[v]
-    if acc is None:
-        acc = {}
-    coeffs = acc
+    acc = acc or {}
     if not datum.is_torus:
-        coeffs = {}
-        for lam, rows in plan.items():
-            m = sum(sgn * acc.get(pt, 0) for pt, sgn in rows)
-            if m:
-                coeffs[lam] = m
-    return FormalCharacter._trusted(datum, window, coeffs)
+        sums = {lam: sum(sgn * acc.get(pt, 0) for pt, sgn in rows) for lam, rows in plan.items()}
+        acc = {lam: m for lam, m in sums.items() if m}
+    return FormalCharacter._of(datum, window, acc)
 
 
 def character_window(k: DiscreteKCycle, window: int) -> FormalCharacter:

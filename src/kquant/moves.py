@@ -64,7 +64,7 @@ def disjoint_union(a: DiscreteKCycle, b: DiscreteKCycle) -> DiscreteKCycle:
         b = b.materialized()
     fam = a.family if a.family is not None else b.family
     bound = a.enumeration_bound if a.family is not None else b.enumeration_bound
-    return DiscreteKCycle(a.datum, a.components + b.components, fam, bound)
+    return DiscreteKCycle._of(a.datum, a.components + b.components, fam, bound)
 
 
 def disk_decomposition(sign: int, truncation: int) -> DiscreteKCycle:
@@ -84,7 +84,7 @@ def disk_decomposition(sign: int, truncation: int) -> DiscreteKCycle:
         comps = tuple((-1, f_sphere(-n)) for n in range(1, truncation + 2))
     else:
         raise ValueError(f"sign must be +-1, got {sign}")
-    return DiscreteKCycle(datum, comps)
+    return DiscreteKCycle._of(datum, comps, None, None)
 
 
 def _monomial_exponent(p: WeightPolynomial):
@@ -149,9 +149,9 @@ def _product_point(p: FixedPointDatum, q: FixedPointDatum,
     if p.orbifold_order > 1 and q.orbifold_order > 1:
         raise OrbifoldAveragingUnsupported(
             "product of two orbifold points is not diagonal-cyclic")
-    return FixedPointDatum(p.tangent_weights + q.tangent_weights,
-                           (p.fiber_character * q.fiber_character) * extra_sign,
-                           p.orbifold_order * q.orbifold_order)
+    return FixedPointDatum._of(p.tangent_weights + q.tangent_weights,
+                               (p.fiber_character * q.fiber_character) * extra_sign,
+                               p.orbifold_order * q.orbifold_order)
 
 
 def bundle_modification(k: DiscreteKCycle, fiber: ClosedComponent,
@@ -163,27 +163,28 @@ def bundle_modification(k: DiscreteKCycle, fiber: ClosedComponent,
     the parity of their tangent-weight count (OddFiber otherwise), and
     closed_index(fiber) is the unit character (FiberIndexNotUnit).
     Returns the modified cycle and a window certificate that the
-    polarized index is unchanged.
+    polarized index is unchanged.  The fiber is checked against k's
+    datum first, so the product points are built from checked data.
     """
+    fib = DiscreteKCycle(k.datum, ((1, fiber),))
     parities = {len(p.tangent_weights) % 2 for p in fiber.fixed_points}
     if len(parities) > 1:
         raise OddFiber("fiber points disagree on dimension parity")
-    unit = WeightPolynomial.one(k.datum.rank)
     idx = closed_index(fiber, k.datum)
-    if idx != unit:
+    if idx != WeightPolynomial.one(k.datum.rank):
         raise FiberIndexNotUnit(f"fiber index is {idx!r}, not the unit")
 
     def modify(comp: ClosedComponent) -> ClosedComponent:
         pts = tuple(_product_point(p, q)
                     for p in comp.fixed_points for q in fiber.fixed_points)
-        return ClosedComponent(f"{comp.label}*{fiber.label}", pts)
+        return ClosedComponent._of(f"{comp.label}*{fiber.label}", pts)
 
     out = k._mapped(lambda s, c: (s, modify(c)))
     if xi is None:
         # a product point's tangent weights are a point's of k and one of the
         # fiber's, so out is not materialized to read them (with no point in
         # k, both indices are 0 at every xi)
-        xi = auto_polarization(k, DiscreteKCycle(k.datum, ((1, fiber),)))
+        xi = auto_polarization(k, fib)
     cert = certify(polarized_index(k, xi, window), polarized_index(out, xi, window))
     return out, cert
 
@@ -201,7 +202,7 @@ def product_cycle(a: DiscreteKCycle, b: DiscreteKCycle) -> DiscreteKCycle:
     if b.family is not None:
         raise SecondFactorInfinite("second product factor must be finite")
     if not b.components:
-        return DiscreteKCycle(a.datum)
+        return DiscreteKCycle._of(a.datum, (), None, None)
 
     base = a.family
 
@@ -210,16 +211,16 @@ def product_cycle(a: DiscreteKCycle, b: DiscreteKCycle) -> DiscreteKCycle:
         pts = tuple(_product_point(p, q, s2)
                     for s2, c2 in b.components
                     for p in c1.fixed_points for q in c2.fixed_points)
-        return s1, ClosedComponent(f"{c1.label}x(...)", pts)
+        return s1, ClosedComponent._of(f"{c1.label}x(...)", pts)
 
     comps = tuple(
-        (s1 * s2, ClosedComponent(f"{c1.label}x{c2.label}",
-                                  tuple(_product_point(p, q)
-                                        for p in c1.fixed_points
-                                        for q in c2.fixed_points)))
+        (s1 * s2, ClosedComponent._of(f"{c1.label}x{c2.label}",
+                                      tuple(_product_point(p, q)
+                                            for p in c1.fixed_points
+                                            for q in c2.fixed_points)))
         for s1, c1 in a.components for s2, c2 in b.components)
-    return DiscreteKCycle(a.datum, comps, None if base is None else family,
-                          a.enumeration_bound)
+    return DiscreteKCycle._of(a.datum, comps, None if base is None else family,
+                              a.enumeration_bound)
 
 
 def certify_disjoint_union(a, b, window, xi=None):

@@ -16,22 +16,24 @@ from __future__ import annotations
 from ._record import Record
 from .characters import FormalCharacter, WeightPolynomial
 from .errors import NotDominant, SingularOrbitUnsupported
-from .localization import ClosedComponent, DiscreteKCycle, FixedPointDatum
+from .localization import ClosedComponent, DiscreteKCycle, FixedPointDatum, _sign
 from .root_data import RootDatum, is_dominant, is_regular_dominant, signed_orbit_with_images
 
 
 class OrbitCycle(Record):
-    """A coadjoint orbit cycle together with its defining weight."""
+    """A coadjoint orbit cycle with its defining weight; checks the component against datum."""
 
     _fields = ("datum", "gamma", "component")
 
     def __init__(self, datum: RootDatum, gamma: tuple, component: ClosedComponent):
+        DiscreteKCycle(datum, ((1, component),))
         self.datum = datum
         self.gamma = gamma
         self.component = component
 
     def cycle(self, sign: int = 1) -> DiscreteKCycle:
-        return DiscreteKCycle(self.datum, ((sign, self.component),))
+        """The orbit as a one-component cycle; only the sign is checked here."""
+        return DiscreteKCycle._of(self.datum, ((_sign(sign), self.component),), None, None)
 
 
 def orbit_cycle(datum: RootDatum, gamma) -> OrbitCycle:
@@ -50,10 +52,10 @@ def orbit_cycle(datum: RootDatum, gamma) -> OrbitCycle:
     if not is_regular_dominant(datum, gamma):
         raise SingularOrbitUnsupported(
             f"{gamma} lies on a chamber wall; only free orbits are supported")
-    pts = tuple(FixedPointDatum(roots, WeightPolynomial.monomial(image))
+    pts = tuple(FixedPointDatum._of(roots, WeightPolynomial._of({image: 1}), 1)
                 for image, _, roots in signed_orbit_with_images(datum, gamma,
                                                                 datum.positive_roots))
-    return OrbitCycle(datum, gamma, ClosedComponent(f"orbit{gamma}", pts))
+    return OrbitCycle._of(datum, gamma, ClosedComponent._of(f"orbit{gamma}", pts))
 
 
 def p_map(gamma_char: FormalCharacter) -> DiscreteKCycle:
@@ -69,4 +71,4 @@ def p_map(gamma_char: FormalCharacter) -> DiscreteKCycle:
         oc = orbit_cycle(datum, gamma)
         sign = 1 if n > 0 else -1
         comps.extend((sign, oc.component) for _ in range(abs(n)))
-    return DiscreteKCycle(datum, tuple(comps))
+    return DiscreteKCycle._of(datum, tuple(comps), None, None)

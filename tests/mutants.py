@@ -27,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LM, LOC = "src/kquant/linear_models.py", "src/kquant/localization.py"
 MOVES, CHARS = "src/kquant/moves.py", "src/kquant/characters.py"
-T_LM = "tests/test_linear_models.py::"
+T_LM, T_LOC = "tests/test_linear_models.py::", "tests/test_localization.py::"
 
 MUTANTS = [
     # the counter's walk plan
@@ -100,9 +100,30 @@ MUTANTS = [
      "        f, b = len(keys), box * sum(map(abs, key)) - 1\n",
      [T_LM + "test_each_route_satisfies_the_deletion_recurrence"]),
     ("disjoint_union: drops a component", MOVES,
-     "    return DiscreteKCycle(a.datum, a.components + b.components, fam, bound)\n",
-     "    return DiscreteKCycle(a.datum, a.components + b.components[:-1], fam, bound)\n",
+     "    return DiscreteKCycle._of(a.datum, a.components + b.components, fam, bound)\n",
+     "    return DiscreteKCycle._of(a.datum, a.components + b.components[:-1], fam, bound)\n",
      ["tests/test_moves.py::test_disjoint_union_concatenates_and_certifies"]),
+    # the checks where outside data enters
+    ("bundle_modification: the fiber is not checked", MOVES,
+     "    fib = DiscreteKCycle(k.datum, ((1, fiber),))\n",
+     "    fib = DiscreteKCycle._of(k.datum, ((1, fiber),), None, None)\n",
+     ["tests/test_moves.py::test_bundle_modification_checks_the_fiber_against_the_datum"]),
+    ("materialized: family members are not checked", LOC,
+     "        extra = tuple(self._checked(*self.family(i)) for i in range(self.enumeration_bound + 1))\n",
+     "        extra = tuple(self.family(i) for i in range(self.enumeration_bound + 1))\n",
+     [T_LOC + "test_family_members_of_the_wrong_rank_are_refused_where_read"]),
+    ("iter_certified: family members are not checked", LOC,
+     "            s, c = self._checked(*self.family(i))\n",
+     "            s, c = self.family(i)\n",
+     [T_LOC + "test_family_members_of_the_wrong_rank_are_refused_where_read"]),
+    ("OrbitCycle: the given component is not checked", "src/kquant/orbits.py",
+     "        DiscreteKCycle(datum, ((1, component),))\n",
+     "",
+     ["tests/test_orbits.py::test_orbit_cycle_checks_its_component_where_it_is_given"]),
+    ("decompose: the weights' length is not checked", CHARS,
+     "        datum.check_weight(nu)\n",
+     "        pass\n",
+     ["tests/test_characters.py::test_decompose_rejects_weights_of_another_rank"]),
 ]
 
 

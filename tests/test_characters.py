@@ -134,6 +134,13 @@ def test_decompose_rejects_non_invariant():
         kq.decompose(A1, WP.monomial((1,)))
 
 
+def test_decompose_rejects_weights_of_another_rank():
+    # the polynomial comes from the caller, so decompose checks its weights
+    for datum, w in ((T2, (1,)), (T1, (1, 0)), (A2, (1,))):
+        with pytest.raises(ValueError, match="datum rank is"):
+            kq.decompose(datum, WP.monomial(w))
+
+
 def test_decompose_random_reassembles():
     rng = random.Random(5)
     for _ in range(10):
@@ -197,6 +204,22 @@ def test_formal_character_rejects_a_non_integer_window():
         with pytest.raises(TypeError):
             kq.FormalCharacter(T1, window, {(1,): 1})
     assert kq.FormalCharacter(T1, 3, {(1,): 1}).to_dict()["window"] == 3
+
+
+def test_every_window_a_formal_character_is_given_is_checked_alike():
+    # restrict and from_character take a window from the caller, so they
+    # check it as construction does: as_int, then the same WindowExhausted
+    fc = kq.FormalCharacter(T1, 3, {(1,): 1})
+    ch = kq.Character(T1, {(1,): 1})
+    routes = (lambda w: kq.FormalCharacter(T1, w, {}), fc.restrict,
+              lambda w: kq.FormalCharacter.from_character(ch, w))
+    for route in routes:
+        for window in (2.5, 2.0, True):
+            with pytest.raises(TypeError):
+                route(window)
+        with pytest.raises(kq.WindowExhausted, match=r"^window -1 is empty$"):
+            route(-1)
+        assert route(2).window == 2
 
 
 def test_formal_character_agreement_uses_shared_window():
@@ -331,7 +354,7 @@ def test_formal_character_sum_and_agreement_match_a_box_walk():
             window, total, agree = _box_walk(a, b)
             s = a + b
             assert s.window == window
-            assert s.coeffs == total and list(s.coeffs) == list(total)
+            assert s.coeffs == total
             assert a.agrees_with(b) == b.agrees_with(a) == agree
             assert (a - b).coeffs == _box_walk(a, -b)[1]
             verdicts.add(agree)

@@ -253,6 +253,45 @@ def test_auto_polarization_generic():
         assert kq.auto_polarization(k, other) == (1, big + 1)
 
 
+def test_auto_polarization_reads_no_family_member_at_rank_1():
+    # at rank 1 the polarization is (1,) whatever the members are, so none is
+    # read; a use reads the members up to the escape, and none past it
+    calls = []
+
+    def member(i):
+        calls.append(i)
+        if i > 3:
+            raise AssertionError(f"member {i} read past the escape of window 2")
+        return 1, kq.f_sphere(i)
+
+    fam = kq.DiscreteKCycle(T1, (), member, enumeration_bound=50)
+    assert kq.auto_polarization(fam) == (1,) and calls == []
+    assert kq.polarized_index(fam, None, 2).coeffs == {(0,): 1, (1,): 1, (2,): 1}
+    assert calls == [0, 1, 2, 3]
+    calls.clear()
+    _, cert = kq.bundle_modification(fam, kq.o_sphere(0), 2)
+    assert cert.verdict and calls == [0, 1, 2, 3] * 2
+    # a family with no bound is still refused, now by the use
+    calls.clear()
+    with pytest.raises(kq.EnumerationUnbounded,
+                       match="^infinite component family without enumeration_bound$"):
+        kq.polarized_index(kq.DiscreteKCycle(T1, (), member), None, 2)
+    assert calls == []
+
+
+def test_family_members_of_the_wrong_rank_are_refused_where_read():
+    wide = kq.ClosedComponent("wide", (kq.point((2, 0), (1, 0)), kq.point((2, 0), (-1, 0))))
+    fam = kq.DiscreteKCycle(T1, (), lambda i: (1, kq.f_sphere(i) if i < 2 else wide),
+                            enumeration_bound=5)
+    with pytest.raises(ValueError, match="has length 2, datum rank is 1"):
+        fam.materialized()
+    # the series reads members up to the window's escape: member 2 is past
+    # it at window 0 and is reached (and refused) at window 1
+    assert kq.polarized_index(fam, (1,), 0).coeffs == {(0,): 1}
+    with pytest.raises(ValueError, match="has length 2, datum rank is 1"):
+        kq.polarized_index(fam, (1,), 1)
+
+
 def test_family_quantizes_the_disk():
     fam = lazy_disk_family()
     fc = kq.polarized_index(fam, (1,), 5)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import kquant as kq
-from helpers import (T1, T2, lazy_disk_family, random_closed_cycle_t1,
+from helpers import (T1, T2, axis_sphere, lazy_disk_family, random_closed_cycle_t1,
                      random_closed_cycle_t2, random_sphere)
 
 WP = kq.WeightPolynomial
@@ -132,6 +132,22 @@ def test_bundle_modification_rejects_mixed_parity_fiber():
         kq.point((0,), (1,), (1,)), kq.point((0,), (-1,))))
     with pytest.raises(kq.OddFiber):
         kq.bundle_modification(k, fiber)
+
+
+def test_bundle_modification_checks_the_fiber_against_the_datum():
+    # a tangent weight of rank 2 on a rank-1 cycle is refused up front,
+    # whether the polarization is given or chosen
+    k = one_component(kq.f_sphere(1))
+    wide = kq.ClosedComponent("wide", (kq.point((0,), (1, 0)), kq.point((0,), (-1, 0))))
+    for xi in (None, (1,)):
+        with pytest.raises(ValueError, match="has length 2, datum rank is 1"):
+            kq.bundle_modification(k, wide, 3, xi)
+
+
+def test_glue_split_checks_its_pieces_against_the_datum():
+    # the component arrives apart from its datum, so the pieces are checked
+    with pytest.raises(ValueError, match="has length 2, datum rank is 1"):
+        kq.glue_split(axis_sphere(0, "f", 1), [[0], [1]], T1)
 
 
 def test_bundle_modification_on_family():

@@ -17,6 +17,20 @@ def test_torus_orbit_is_a_point():
     assert kq.closed_index(oc.component, T1) == WP.monomial((4,))
 
 
+def test_orbit_cycle_checks_its_component_where_it_is_given():
+    # the public constructor checks the component against the datum, so
+    # cycle() checks only the sign
+    wide = kq.ClosedComponent("wide", (kq.point((0, 0), (1, 0)), kq.point((0, 0), (-1, 0))))
+    with pytest.raises(ValueError, match="has length 2, datum rank is 1"):
+        kq.OrbitCycle(T1, (0,), wide)
+    oc = kq.OrbitCycle(T1, (0,), kq.f_sphere(0))
+    assert oc.cycle(-1).components == ((-1, kq.f_sphere(0)),)
+    with pytest.raises(ValueError, match="component sign must be"):
+        oc.cycle(2)
+    with pytest.raises(TypeError):
+        oc.cycle(True)
+
+
 def test_a1_orbit_reproduces_characters():
     oc = kq.orbit_cycle(A1, (2,))
     assert len(oc.component.fixed_points) == 2

@@ -1,13 +1,15 @@
-"""The engine's record classes behave as values: construction, equality, hash, repr."""
+"""The engine's record classes behave as values: construction, equality, hash, repr, _of."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import kquant as kq
-from helpers import T1, T2
+from helpers import (A1, A2, T1, T2, lazy_disk_family, random_closed_cycle_t1,
+                     random_closed_cycle_t2, random_formal_character, random_proper_model,
+                     random_virtual_character)
 
-A2 = kq.build_root_datum("A", 2)
 WP = kq.WeightPolynomial
 
 
@@ -58,6 +60,7 @@ def test_records_behave_as_values(cls, kwargs, change, defaults):
     a, b = cls(**kwargs), cls(*kwargs.values())
     assert all(getattr(a, name) == value for name, value in kwargs.items())
     assert a == b and not a != b
+    assert cls._of(*(getattr(a, f) for f in cls._fields)) == a
     assert a != object()
     name, value = change
     c = cls(**{**kwargs, name: value})
@@ -90,3 +93,46 @@ def test_records_behave_as_values(cls, kwargs, change, defaults):
             hash(a)
         setattr(a, name, value)
         assert a == c
+
+
+def test_values_built_with_of_equal_their_checked_rebuild():
+    # the moves, orbit_cycle, p_map, model_cycle, decompose, polarized_index
+    # and the sums, negations and cuts of characters build their values with
+    # _of from checked data; rebuilding each through the checked constructors
+    # (from_dict reads every field back) gives an equal value, so _of was
+    # handed fields already in checked form
+    rng = random.Random(27)
+    cycles, chars = [], []
+    for _ in range(6):
+        a, b = random_closed_cycle_t1(rng), random_closed_cycle_t1(rng)
+        c, d = random_closed_cycle_t2(rng), random_closed_cycle_t2(rng)
+        cycles += [kq.disjoint_union(a, b), kq.product_cycle(a, b), kq.product_cycle(c, d),
+                   a.negate(), kq.bundle_modification(a, kq.o_sphere(0), 2)[0],
+                   kq.disk_decomposition(rng.choice((1, -1)), rng.randint(0, 4))]
+    fam, _ = kq.bundle_modification(lazy_disk_family(bound=5), kq.o_sphere(0), 2)
+    cycles.append(fam.materialized())
+    for datum in (T1, A1, A2):
+        fc = random_formal_character(rng, datum, 2, regular_only=True)
+        cycles.append(kq.p_map(fc))
+        cycles += [kq.orbit_cycle(datum, gamma).cycle(-1) for gamma in fc.coeffs]
+    models = [kq.model_cycle(random_proper_model(rng)) for _ in range(4)]  # not closed
+    formals = [kq.polarized_index(k, None, 2) for k in cycles[::4] + models]
+    for datum in (T2, A2):
+        x, y = (kq.decompose(datum, random_virtual_character(rng, datum, 2)) for _ in "xy")
+        chars += [x, y, x + y, -x, x + -y, x + -x]
+        fx, fy = kq.FormalCharacter.from_character(x, 3), kq.FormalCharacter.from_character(y, 2)
+        formals += [fx, fy, fx + fy, -fx, fx - fy, fx.restrict(1)]
+    for f in formals:
+        assert kq.FormalCharacter.from_dict(f.datum, f.to_dict()) == f
+    assert sum(len(f.coeffs) for f in formals) > 20
+    polys = []
+    for k in cycles + models:
+        assert kq.DiscreteKCycle.from_dict(k.to_dict()) == k
+        polys += [p.fiber_character for _, comp in k.components for p in comp.fixed_points]
+    polys += [kq.closed_sum(k) for k in cycles]
+    for x in chars:
+        assert kq.Character(x.datum, x.mults) == x
+        polys += [kq.weyl_character(x.datum, w) for w in x.mults]
+    assert sum(map(len, polys)) > 200 and sum(len(x.mults) for x in chars) > 20
+    for p in polys:
+        assert WP(p.terms) == p
