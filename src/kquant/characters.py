@@ -14,7 +14,8 @@ weyl_character produces the full weight polynomial of an irreducible by
 dividing its alternant by the Weyl denominator, one binomial 1 - t^{-alpha}
 per positive root; decompose inverts it by reflecting each weight of
 p * t^rho into the dominant chamber (the Weyl character formula read term
-by term).
+by term).  Every window given to a formal character or a series is
+checked by _window, and every cut of a map to a window is _cut.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import heapq
 
 from ._record import Record
-from .errors import NotDominant, NotInvariant, WindowExhausted
-from .root_data import (RootDatum, add, as_int, as_weight, is_dominant, neg,
+from .errors import NotInvariant, WindowExhausted
+from .root_data import (RootDatum, add, as_int, as_weight, neg, same_datum,
                         signed_orbit_with_images, simple_reflection, sub, sup_norm)
 
 
@@ -42,11 +43,16 @@ def _checked(terms, key) -> dict:
 
 
 def _window(window) -> int:
-    """A formal character's window: an int (as_int), WindowExhausted below 0."""
+    """A window as given: an int (as_int), WindowExhausted below 0."""
     window = as_int(window)
     if window < 0:
         raise WindowExhausted(f"window {window} is empty")
     return window
+
+
+def _cut(coeffs: dict, window: int) -> dict:
+    """The entries of coeffs whose weight has sup-norm <= window."""
+    return {w: m for w, m in coeffs.items() if sup_norm(w) <= window}
 
 
 def _sum(a: dict, b: dict) -> dict:
@@ -213,9 +219,7 @@ def weyl_character(datum: RootDatum, lam) -> WeightPolynomial:
     shifted by -rho, the alternant is divided by one binomial per
     positive root; a torus has none, so its character is t^lam.
     """
-    lam = datum.check_weight(lam)
-    if not is_dominant(datum, lam):
-        raise NotDominant(f"{lam} is not dominant for {datum}")
+    lam = datum.check_dominant(lam)
     rho = datum.rho
     out = WeightPolynomial._of({sub(img, rho): s
                                 for img, s, _ in signed_orbit_with_images(datum, add(lam, rho))})
@@ -271,13 +275,7 @@ class Character(Record):
 
     def __init__(self, datum: RootDatum, mults=()):
         self.datum = datum
-        self.mults = _checked(mults, self._key)
-
-    def _key(self, w):
-        w = self.datum.check_weight(w)
-        if not is_dominant(self.datum, w):
-            raise NotDominant(f"character key {w} is not dominant")
-        return w
+        self.mults = _checked(mults, datum.check_dominant)
 
     def mult(self, w) -> int:
         return self.mults.get(as_weight(w), 0)
@@ -286,9 +284,7 @@ class Character(Record):
         return sorted(self.mults.items())
 
     def __add__(self, other):
-        if self.datum != other.datum:
-            raise ValueError("datum mismatch")
-        return Character._of(self.datum, _sum(self.mults, other.mults))
+        return Character._of(same_datum(self.datum, other.datum), _sum(self.mults, other.mults))
 
     def __neg__(self):
         return Character._of(self.datum, {w: -m for w, m in self.mults.items()})
@@ -318,9 +314,7 @@ class Character(Record):
 
 def char_product(a: Character, b: Character) -> Character:
     """Tensor product decomposition, by multiplying weight polynomials."""
-    if a.datum != b.datum:
-        raise ValueError("datum mismatch")
-    return decompose(a.datum, a.weight_polynomial() * b.weight_polynomial())
+    return decompose(same_datum(a.datum, b.datum), a.weight_polynomial() * b.weight_polynomial())
 
 
 class FormalCharacter(Record):
@@ -342,9 +336,7 @@ class FormalCharacter(Record):
         self.coeffs = _checked(coeffs, self._key)
 
     def _key(self, w):
-        w = self.datum.check_weight(w)
-        if not is_dominant(self.datum, w):
-            raise NotDominant(f"formal character key {w} is not dominant")
+        w = self.datum.check_dominant(w)
         if sup_norm(w) > self.window:
             raise WindowExhausted(f"key {w} outside window {self.window}")
         return w
@@ -362,19 +354,16 @@ class FormalCharacter(Record):
         window = _window(window)
         if window > self.window:
             raise WindowExhausted(f"cannot grow window {self.window} to {window}")
-        kept = {w: m for w, m in self.coeffs.items() if sup_norm(w) <= window}
-        return FormalCharacter._of(self.datum, window, kept)
+        return FormalCharacter._of(self.datum, window, _cut(self.coeffs, window))
 
     def agrees_with(self, other: "FormalCharacter") -> bool:
         """Equality of multiplicities over the shared window: the difference is 0 there."""
         return self.datum == other.datum and not (self - other).coeffs
 
     def __add__(self, other):
-        if self.datum != other.datum:
-            raise ValueError("datum mismatch")
+        datum = same_datum(self.datum, other.datum)
         b = min(self.window, other.window)
-        kept = {w: m for w, m in _sum(self.coeffs, other.coeffs).items() if sup_norm(w) <= b}
-        return FormalCharacter._of(self.datum, b, kept)
+        return FormalCharacter._of(datum, b, _cut(_sum(self.coeffs, other.coeffs), b))
 
     def __neg__(self):
         return FormalCharacter._of(self.datum, self.window,
@@ -386,8 +375,7 @@ class FormalCharacter(Record):
     @staticmethod
     def from_character(ch: Character, window: int) -> "FormalCharacter":
         window = _window(window)
-        kept = {w: m for w, m in ch.mults.items() if sup_norm(w) <= window}
-        return FormalCharacter._of(ch.datum, window, kept)
+        return FormalCharacter._of(ch.datum, window, _cut(ch.mults, window))
 
     @staticmethod
     def from_weight_polynomial(datum: RootDatum, p: WeightPolynomial,
@@ -418,8 +406,7 @@ def formal_multiply(f: FormalCharacter, c: Character) -> FormalCharacter:
     built once.  Raises WindowExhausted when the shrunken window is empty
     (negative).
     """
-    if f.datum != c.datum:
-        raise ValueError("datum mismatch")
+    same_datum(f.datum, c.datum)
     chars = {w: weyl_character(c.datum, w) for w in c.mults}
     margin = max((sup_norm(v) for ch in chars.values() for v in ch.terms), default=0)
     window = f.window - margin

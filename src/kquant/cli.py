@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .characters import decompose
 from .errors import EngineError
-from .linear_models import (LinearModel, formal_quantization, model_cycle,
-                            farkas_vector, reduction_multiplicity,
-                            vanishing_decomposition, verify_qr)
+from .linear_models import (LinearModel, farkas_vector, model_cycle,
+                            reduction_multiplicity, vanishing_decomposition,
+                            verify_qr)
 from .localization import (ClosedComponent, DiscreteKCycle, closed_index,
                            closed_sum, polarized_index)
 from .moves import (bundle_modification, certify_disjoint_union,
@@ -92,12 +92,9 @@ def _run_index(args):
 def _run_quantize(args):
     m = LinearModel.from_dict(_load(args.input))
     window = 10 if args.window is None else args.window
-    if args.polarization is None:
-        fc = formal_quantization(m, window)
-    else:
-        farkas_vector(m)  # NotProper regardless of the chosen direction
-        fc = polarized_index(model_cycle(m), args.polarization, window)
-    return (0, *_window_views(fc))
+    farkas = farkas_vector(m)  # NotProper whatever the polarization
+    xi = farkas if args.polarization is None else args.polarization
+    return (0, *_window_views(polarized_index(model_cycle(m), xi, window)))
 
 
 def _run_reduce(args):

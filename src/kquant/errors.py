@@ -46,8 +46,8 @@ class EnumerationUnbounded(EngineError):
     """An infinite component family lacks a usable enumeration bound."""
 
 
-class DatumMismatch(EngineError):
-    """Two cycles built over different root data were combined."""
+class DatumMismatch(EngineError, ValueError):
+    """Two values built over different root data were combined (a ValueError too)."""
 
 
 class EmptyBlock(EngineError):

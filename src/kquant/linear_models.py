@@ -67,9 +67,8 @@ from typing import NamedTuple
 from ._exact import (cramer_kit, hermite_basis, hyperplanes, nullspace,
                      residue_kit, solve)
 from ._record import FrozenRecord, Record
-from .characters import FormalCharacter, WeightPolynomial
-from .errors import (CertificateFailed, NotOnVanishingSet, NotProper,
-                     WindowExhausted)
+from .characters import FormalCharacter, WeightPolynomial, _window
+from .errors import CertificateFailed, NotOnVanishingSet, NotProper
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
                            normalize_polarization, polarized_index)
 from .root_data import (RootDatum, build_root_datum, dominant_window,
@@ -207,8 +206,7 @@ def model_cycle(m: LinearModel) -> DiscreteKCycle:
 
 def formal_quantization(m: LinearModel, window: int) -> FormalCharacter:
     """Window-exact polarized expansion of t^c prod (1 - t^{w_j})^{-1}."""
-    if window < 0:  # checked before farkas_vector, so it comes before NotProper
-        raise WindowExhausted(f"window {window} is empty")
+    _window(window)  # checked before farkas_vector, so it comes before NotProper
     return polarized_index(model_cycle(m), farkas_vector(m), window)
 
 

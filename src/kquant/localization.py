@@ -36,6 +36,10 @@ Orbifold orders m > 1 are handled by exact cyclic averaging along the
 diagonal circle: only terms whose coordinate sum is divisible by m
 survive, which is the lattice-level shadow of averaging the character
 over the m-th roots of unity and keeps every coefficient an integer.
+That needs the torus lattice: _check_orders refuses an order > 1 over
+type A where a component enters a cycle (DiscreteKCycle._checked) or
+reaches closed_index bare.  A family's members are read only through
+DiscreteKCycle._members, which needs a bound and checks each member.
 """
 
 from __future__ import annotations
@@ -47,10 +51,10 @@ from operator import lshift, mul
 
 from ._exact import hyperplanes, nullspace, primitive
 from ._record import FrozenRecord, Record
-from .characters import FormalCharacter, WeightPolynomial, exact_divide
+from .characters import FormalCharacter, WeightPolynomial, _window, exact_divide
 from .errors import (DegeneratePolarization, EnumerationUnbounded,
                      NonIsolatedFixedPoint, NotClosed,
-                     OrbifoldAveragingUnsupported, WindowExhausted)
+                     OrbifoldAveragingUnsupported)
 from .root_data import (RootDatum, add, as_int, as_weight, dominant_window,
                         dot, neg, scale, signed_orbit_with_images, sub, sup_norm)
 
@@ -121,6 +125,13 @@ class ClosedComponent(FrozenRecord):
         return as_int(d.get("sign", 1)), ClosedComponent(str(d.get("label", "")), pts)
 
 
+def _check_orders(datum: RootDatum, comp: ClosedComponent):
+    """OrbifoldAveragingUnsupported for a point of order > 1 of comp over type A."""
+    if not datum.is_torus and any(p.orbifold_order > 1 for p in comp.fixed_points):
+        raise OrbifoldAveragingUnsupported(
+            "orbifold averaging outside a torus lattice is not expressible")
+
+
 def _sign(sign) -> int:
     """A component sign: an int (as_int) that is +-1, or ValueError."""
     sign = as_int(sign)
@@ -151,8 +162,9 @@ class DiscreteKCycle(Record):
         self.enumeration_bound = enumeration_bound
 
     def _checked(self, sign, comp: ClosedComponent):
-        """(sign, comp) once sign is +-1 and comp's weights fit the datum."""
+        """(sign, comp) once sign is +-1 and comp fits the datum (_check_orders too)."""
         sign = _sign(sign)
+        _check_orders(self.datum, comp)
         for p in comp.fixed_points:
             for w in p.tangent_weights:
                 self.datum.check_weight(w)
@@ -172,15 +184,21 @@ class DiscreteKCycle(Record):
         """Orientation reversal: negates every component sign."""
         return self._mapped(lambda s, c: (-s, c))
 
-    def materialized(self) -> "DiscreteKCycle":
-        """Expand the family (if any) into an explicit component list; only its
-        members are checked (_checked), as the held components were when built."""
-        if self.family is None:
-            return self
+    def _members(self):
+        """The family's members up to enumeration_bound, each checked (_checked)
+        as it is read; EnumerationUnbounded for a family without a bound."""
         if self.enumeration_bound is None:
             raise EnumerationUnbounded("infinite component family without enumeration_bound")
-        extra = tuple(self._checked(*self.family(i)) for i in range(self.enumeration_bound + 1))
-        return DiscreteKCycle._of(self.datum, self.components + extra, None, None)
+        for i in range(self.enumeration_bound + 1):
+            yield self._checked(*self.family(i))
+
+    def materialized(self) -> "DiscreteKCycle":
+        """Expand the family (if any) into an explicit component list; only its
+        members are checked, as the held components were when built."""
+        if self.family is None:
+            return self
+        return DiscreteKCycle._of(self.datum, self.components + tuple(self._members()),
+                                  None, None)
 
     def iter_certified(self, xi, maxpair):
         """Yield components whose terms can reach pairing <= maxpair.
@@ -193,11 +211,8 @@ class DiscreteKCycle(Record):
         yield from self.components
         if self.family is None:
             return
-        if self.enumeration_bound is None:
-            raise EnumerationUnbounded("infinite component family without enumeration_bound")
         prev = None
-        for i in range(self.enumeration_bound + 1):
-            s, c = self._checked(*self.family(i))
+        for i, (s, c) in enumerate(self._members()):
             low = min(dot(w, xi) for p in c.fixed_points for w in p.fiber_character.terms)
             if prev is not None and low < prev:
                 raise EnumerationUnbounded(
@@ -236,14 +251,13 @@ def closed_index(component: ClosedComponent, datum: RootDatum = None) -> WeightP
     Orbifold orders act by diagonal cyclic averaging as described in the
     module docstring.
     """
+    if datum is not None:
+        _check_orders(datum, component)
     zero = (0,) * len(next(iter(component.fixed_points[0].fiber_character.terms)))
     local = []
     common = Counter()
     for p in component.fixed_points:
         m = p.orbifold_order
-        if m > 1 and datum is not None and not datum.is_torus:
-            raise OrbifoldAveragingUnsupported(
-                "orbifold averaging outside a torus lattice is not expressible")
         num = p.fiber_character
         factors = Counter()
         for w in p.tangent_weights:
@@ -352,8 +366,9 @@ def _window_guards(dirs, rank, box):
     every term already meets it, and steps that leave the pairing unchanged
     cannot break it.  On the last factor only the coordinate guards act:
     they alone cut k to exactly the box (no other guard cuts a box point).
-    keys lists the normals with a guard valid somewhere (the coordinates
-    always, first), one packed field each, pairs[f] the pairings of
+    No direction pairs both < 0 and > 0 with a normal, so every normal has
+    a guard valid on some factor.  keys lists the normals (the coordinates
+    first), one packed field each, pairs[f] the pairings of
     keys[f] with the directions, and active[j] the guards of factor j as
     (f, flip, bound), flip when the guard is -keys[f].
     """
@@ -374,8 +389,6 @@ def _window_guards(dirs, rank, box):
                 plus = j
             elif x > 0:
                 minus = j
-        if n >= rank and plus >= end and minus >= end:
-            continue
         f, b = len(keys), box * sum(map(abs, key))
         keys.append(key)
         pairs.append(ps)
@@ -534,9 +547,7 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
     sum that every later point's terms are added to; a coefficient that
     cancels to 0 is dropped.
     """
-    window = as_int(window)
-    if window < 0:
-        raise WindowExhausted(f"window must be >= 0, got {window}")
+    window = _window(window)
     if xi is None:
         xi = auto_polarization(k)
     xi = normalize_polarization(xi)
@@ -553,9 +564,6 @@ def polarized_index(k: DiscreteKCycle, xi, window: int) -> FormalCharacter:
         maxpair = max(dot(pt, xi) for pt in pts)
     acc = None  # the first point's terms, then their running sum
     for sign, comp in k.iter_certified(xi, maxpair):
-        if not datum.is_torus and any(p.orbifold_order > 1 for p in comp.fixed_points):
-            raise OrbifoldAveragingUnsupported(
-                "orbifold averaging outside a torus lattice is not expressible")
         for p in comp.fixed_points:
             terms = _expand_point(p, xi, maxpair, box)
             if acc is None:

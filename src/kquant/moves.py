@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from ._record import Record
 from .characters import FormalCharacter, WeightPolynomial, decompose, formal_multiply
-from .errors import (CertificateFailed, DatumMismatch, EmptyBlock,
+from .errors import (CertificateFailed, EmptyBlock,
                      FiberIndexNotUnit, OddFiber, OrbifoldAveragingUnsupported,
                      SecondFactorInfinite, UnsupportedSplit)
 from .localization import (ClosedComponent, DiscreteKCycle, FixedPointDatum,
                            auto_polarization, closed_index, closed_sum, point,
                            polarized_index)
-from .root_data import build_root_datum, neg, sub
+from .root_data import build_root_datum, neg, same_datum, sub
 
 
 class RewriteCertificate(Record):
@@ -58,13 +58,12 @@ def o_sphere(k: int) -> ClosedComponent:
 
 def disjoint_union(a: DiscreteKCycle, b: DiscreteKCycle) -> DiscreteKCycle:
     """Concatenate component lists; indices add."""
-    if a.datum != b.datum:
-        raise DatumMismatch(f"{a.datum} vs {b.datum}")
+    datum = same_datum(a.datum, b.datum)
     if a.family is not None and b.family is not None:
         b = b.materialized()
     fam = a.family if a.family is not None else b.family
     bound = a.enumeration_bound if a.family is not None else b.enumeration_bound
-    return DiscreteKCycle._of(a.datum, a.components + b.components, fam, bound)
+    return DiscreteKCycle._of(datum, a.components + b.components, fam, bound)
 
 
 def disk_decomposition(sign: int, truncation: int) -> DiscreteKCycle:
@@ -197,8 +196,7 @@ def product_cycle(a: DiscreteKCycle, b: DiscreteKCycle) -> DiscreteKCycle:
     multiplied by all of b, with b's signs folded into the fibers so
     the family still yields one component per index.
     """
-    if a.datum != b.datum:
-        raise DatumMismatch(f"{a.datum} vs {b.datum}")
+    same_datum(a.datum, b.datum)
     if b.family is not None:
         raise SecondFactorInfinite("second product factor must be finite")
     if not b.components:
@@ -265,8 +263,7 @@ def certify_product(a, b, window, xi=None):
 
 def compare_cycles(a, b, window, xi=None) -> RewriteCertificate:
     """Index-equality certificate between two cycles (bordism witness)."""
-    if a.datum != b.datum:
-        raise DatumMismatch(f"{a.datum} vs {b.datum}")
+    same_datum(a.datum, b.datum)
     if xi is None:
         xi = auto_polarization(a, b)
     return certify(polarized_index(a, xi, window), polarized_index(b, xi, window))

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from ._record import Record
 from .characters import FormalCharacter, WeightPolynomial
-from .errors import NotDominant, SingularOrbitUnsupported
+from .errors import SingularOrbitUnsupported
 from .localization import ClosedComponent, DiscreteKCycle, FixedPointDatum, _sign
-from .root_data import RootDatum, is_dominant, is_regular_dominant, signed_orbit_with_images
+from .root_data import RootDatum, is_regular_dominant, signed_orbit_with_images
 
 
 class OrbitCycle(Record):
@@ -46,9 +46,7 @@ def orbit_cycle(datum: RootDatum, gamma) -> OrbitCycle:
     A torus has no positive roots, so its orbit is the single point
     t^gamma with no tangent directions.
     """
-    gamma = datum.check_weight(gamma)
-    if not is_dominant(datum, gamma):
-        raise NotDominant(f"{gamma} is not dominant")
+    gamma = datum.check_dominant(gamma)
     if not is_regular_dominant(datum, gamma):
         raise SingularOrbitUnsupported(
             f"{gamma} lies on a chamber wall; only free orbits are supported")

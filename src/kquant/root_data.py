@@ -5,7 +5,9 @@ the standard character lattice basis.  For type A_n they are coordinates
 in the fundamental-weight basis, so the pairing of a weight with the
 i-th simple coroot is just its i-th coordinate, dominance is a sign test
 of those coordinates, and the simple roots are the rows of the Cartan
-matrix.
+matrix.  The one checker of a weight that must be dominant is
+RootDatum.check_dominant, and of two values that must share a datum (a
+sum or product of characters or of cycles) same_datum.
 
 A torus is the datum with no simple roots.  The Weyl-group code below
 loops over datum.simple_roots, so on a torus, with no branch of its own,
@@ -23,7 +25,7 @@ import operator
 from fractions import Fraction
 
 from ._record import FrozenRecord
-from .errors import CertificateFailed, NotDominant, UnsupportedKind
+from .errors import CertificateFailed, DatumMismatch, NotDominant, UnsupportedKind
 
 Weight = tuple
 
@@ -98,6 +100,13 @@ class RootDatum(FrozenRecord):
             raise ValueError(f"weight {w} has length {len(w)}, datum rank is {self.rank}")
         return w
 
+    def check_dominant(self, w) -> Weight:
+        """w as a weight of this datum (check_weight) that is dominant, or NotDominant."""
+        w = self.check_weight(w)
+        if min(w[:len(self.simple_roots)], default=0) < 0:
+            raise NotDominant(f"{w} is not dominant for {self}")
+        return w
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "rank": self.rank}
 
@@ -140,6 +149,13 @@ def build_root_datum(kind: str, rank: int) -> RootDatum:
                 positive.append(acc)
         return RootDatum("A", rank, tuple(simple), tuple(positive), (1,) * rank)
     raise UnsupportedKind(f"unsupported series {kind!r}; only torus and A are available")
+
+
+def same_datum(a: RootDatum, b: RootDatum) -> RootDatum:
+    """a, when b is the same datum; DatumMismatch otherwise."""
+    if a != b:
+        raise DatumMismatch(f"{a} vs {b}")
+    return a
 
 
 def is_dominant(datum: RootDatum, w) -> bool:
@@ -233,9 +249,7 @@ def weyl_dimension(datum: RootDatum, lam) -> int:
     Product over positive roots of <lam+rho, alpha> / <rho, alpha>, which
     is 1 for a torus.  Raises NotDominant off the cone.
     """
-    lam = datum.check_weight(lam)
-    if not is_dominant(datum, lam):
-        raise NotDominant(f"{lam} is not dominant")
+    lam = datum.check_dominant(lam)
     num = Fraction(1)
     lam_rho = add(lam, datum.rho)
     for alpha in datum.positive_roots:

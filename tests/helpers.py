@@ -294,7 +294,7 @@ def pairwise_formal_multiply(f, c):
     datum check and the margin come first, as in formal_multiply.
     """
     if f.datum != c.datum:
-        raise ValueError("datum mismatch")
+        raise kq.DatumMismatch(f"{f.datum} vs {c.datum}")
     margin = c.weight_system_bound()
     window = f.window - margin
     if window < 0:

@@ -27,7 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LM, LOC = "src/kquant/linear_models.py", "src/kquant/localization.py"
 MOVES, CHARS = "src/kquant/moves.py", "src/kquant/characters.py"
+ROOT_DATA = "src/kquant/root_data.py"
 T_LM, T_LOC = "tests/test_linear_models.py::", "tests/test_localization.py::"
+T_CHARS = "tests/test_characters.py::"
 
 MUTANTS = [
     # the counter's walk plan
@@ -93,29 +95,29 @@ MUTANTS = [
     ("exact_divide: the remainder test removed", CHARS,
      "        if any(x < a or x > b for x, a, b in zip(mw, lo, hi)) or lc % lead_c:\n",
      "        if any(x < a or x > b for x, a, b in zip(mw, lo, hi)):\n",
-     ["tests/test_characters.py::test_exact_divide_basic"]),
+     [T_CHARS + "test_exact_divide_basic"]),
     # the series and the moves
     ("series: a guard bound one too small", LOC,
      "        f, b = len(keys), box * sum(map(abs, key))\n",
      "        f, b = len(keys), box * sum(map(abs, key)) - 1\n",
      [T_LM + "test_each_route_satisfies_the_deletion_recurrence"]),
     ("disjoint_union: drops a component", MOVES,
-     "    return DiscreteKCycle._of(a.datum, a.components + b.components, fam, bound)\n",
-     "    return DiscreteKCycle._of(a.datum, a.components + b.components[:-1], fam, bound)\n",
+     "    return DiscreteKCycle._of(datum, a.components + b.components, fam, bound)\n",
+     "    return DiscreteKCycle._of(datum, a.components + b.components[:-1], fam, bound)\n",
      ["tests/test_moves.py::test_disjoint_union_concatenates_and_certifies"]),
     # the checks where outside data enters
     ("bundle_modification: the fiber is not checked", MOVES,
      "    fib = DiscreteKCycle(k.datum, ((1, fiber),))\n",
      "    fib = DiscreteKCycle._of(k.datum, ((1, fiber),), None, None)\n",
      ["tests/test_moves.py::test_bundle_modification_checks_the_fiber_against_the_datum"]),
-    ("materialized: family members are not checked", LOC,
-     "        extra = tuple(self._checked(*self.family(i)) for i in range(self.enumeration_bound + 1))\n",
-     "        extra = tuple(self.family(i) for i in range(self.enumeration_bound + 1))\n",
+    ("_members: family members are not checked", LOC,
+     "            yield self._checked(*self.family(i))\n",
+     "            yield self.family(i)\n",
      [T_LOC + "test_family_members_of_the_wrong_rank_are_refused_where_read"]),
-    ("iter_certified: family members are not checked", LOC,
-     "            s, c = self._checked(*self.family(i))\n",
-     "            s, c = self.family(i)\n",
-     [T_LOC + "test_family_members_of_the_wrong_rank_are_refused_where_read"]),
+    ("_checked: orbifold orders are not checked where components enter", LOC,
+     "        _check_orders(self.datum, comp)\n",
+     "",
+     [T_LOC + "test_orbifold_points_over_type_a_are_refused_where_they_enter"]),
     ("OrbitCycle: the given component is not checked", "src/kquant/orbits.py",
      "        DiscreteKCycle(datum, ((1, component),))\n",
      "",
@@ -123,7 +125,26 @@ MUTANTS = [
     ("decompose: the weights' length is not checked", CHARS,
      "        datum.check_weight(nu)\n",
      "        pass\n",
-     ["tests/test_characters.py::test_decompose_rejects_weights_of_another_rank"]),
+     [T_CHARS + "test_decompose_rejects_weights_of_another_rank"]),
+    # the one checker of each input rule
+    ("_window: a negative window is accepted", CHARS,
+     "    if window < 0:\n        raise WindowExhausted(f\"window {window} is empty\")\n",
+     "    if False:\n        raise WindowExhausted(f\"window {window} is empty\")\n",
+     [T_CHARS + "test_every_window_a_formal_character_is_given_is_checked_alike",
+      T_LOC + "test_polarized_index_checks_its_window_and_polarization"]),
+    ("check_dominant: dominance is not checked", ROOT_DATA,
+     "        if min(w[:len(self.simple_roots)], default=0) < 0:\n",
+     "        if False:\n",
+     ["tests/test_root_data.py::test_every_dominance_check_is_the_datum_s_one_checker"]),
+    ("same_datum: two data are accepted", ROOT_DATA,
+     "    if a != b:\n",
+     "    if False:\n",
+     [T_CHARS + "test_every_character_operation_refuses_two_data",
+      "tests/test_moves.py::test_two_data_are_refused_by_every_move_that_combines_cycles"]),
+    ("_check_orders: orbifold orders over type A are accepted", LOC,
+     "    if not datum.is_torus and any(p.orbifold_order > 1 for p in comp.fixed_points):\n",
+     "    if False:\n",
+     [T_LOC + "test_orbifold_outside_torus_rejected"]),
 ]
 
 

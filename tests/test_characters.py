@@ -52,6 +52,8 @@ def test_exact_divide_basic():
     # coefficient 3/2: the remainder test stops at the first term
     with pytest.raises(ArithmeticError, match=r"stuck at term \(1,\)"):
         exact_divide(WP({(0,): 3, (1,): 3}), WP({(0,): 2, (1,): 2}))
+    with pytest.raises(ZeroDivisionError, match=r"^division by the zero polynomial$"):
+        exact_divide(t, WP.zero())
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,6 +199,9 @@ def test_formal_character_window():
     with pytest.raises(kq.WindowExhausted):
         fc.mult((4,))
     assert fc.restrict(1).coeffs == {}
+    assert fc.restrict(3) == fc
+    with pytest.raises(kq.WindowExhausted, match=r"^cannot grow window 3 to 4$"):
+        fc.restrict(4)
 
 
 def test_formal_character_rejects_a_non_integer_window():
@@ -220,6 +225,22 @@ def test_every_window_a_formal_character_is_given_is_checked_alike():
         with pytest.raises(kq.WindowExhausted, match=r"^window -1 is empty$"):
             route(-1)
         assert route(2).window == 2
+
+
+def test_every_character_operation_refuses_two_data():
+    # sums and products of characters check their data with one checker,
+    # whose DatumMismatch is a ValueError too
+    c1, c2 = kq.Character(T1, {(1,): 1}), kq.Character(T2, {(1, 0): 1})
+    f1, f2 = kq.FormalCharacter(T1, 3, {(1,): 1}), kq.FormalCharacter(T2, 3, {(1, 0): 1})
+    ops = (lambda: c1 + c2, lambda: kq.char_product(c1, c2), lambda: f1 + f2,
+           lambda: f1 - f2, lambda: kq.formal_multiply(f1, c2))
+    for op in ops:
+        with pytest.raises(kq.DatumMismatch,
+                           match=r"^RootDatum\('torus', rank=1\) vs RootDatum\('torus', rank=2\)$"):
+            op()
+        with pytest.raises(ValueError):
+            op()
+    assert not f1.agrees_with(f2)
 
 
 def test_formal_character_agreement_uses_shared_window():
@@ -294,7 +315,7 @@ def test_formal_multiply_matches_the_pairwise_products():
         got = _product_or_error(kq.formal_multiply, f, c)
         assert got == _product_or_error(pairwise_formal_multiply, f, c), (f, c)
         kinds.add(got[0] if isinstance(got, tuple) else bool(got.coeffs))
-    assert kinds == {True, False, ValueError, kq.WindowExhausted}
+    assert kinds == {True, False, kq.DatumMismatch, kq.WindowExhausted}
 
 
 def test_formal_multiply_builds_each_constituent_once(monkeypatch):

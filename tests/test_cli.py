@@ -100,6 +100,13 @@ def test_orbit(capsys):
     assert len(doc["cycle"]["components"][0]["fixed_points"]) == 2
 
 
+def test_orbit_off_the_dominant_cone_is_one_error_object(capsys):
+    status, out = run(capsys, "orbit", "--group", "A2", "--gamma=-1,1")
+    assert status == 1
+    assert json.loads(out) == {"error": "NotDominant",
+                               "detail": "(-1, 1) is not dominant for RootDatum('A', rank=2)"}
+
+
 def test_orbit_bad_group(capsys):
     status, out = run(capsys, "orbit", "--group", "E8", "--gamma", "1")
     assert status == 1
@@ -148,6 +155,21 @@ def test_moves_non_integer_fields_are_input_errors(files, capsys, fields):
     status, out = run(capsys, "moves", files("mv.json", req))
     assert status == 1
     assert set(json.loads(out)) == {"error", "detail"}
+
+
+@pytest.mark.parametrize("move", ["disjoint_union", "compare", "bundle_modification",
+                                  "glue_split", "disk_decomposition"])
+def test_moves_negative_window_is_one_error_object(files, capsys, move):
+    # every move's first window check is the one window checker
+    k = kq.DiscreteKCycle(T1, ((1, kq.o_sphere(1)),)).to_dict()
+    fields = {"disjoint_union": {"a": k, "b": k}, "compare": {"a": k, "b": k},
+              "bundle_modification": {"cycle": k, "fiber": kq.o_sphere(0).to_dict()},
+              "glue_split": {"cycle": k, "blocks": [[0], [1]]},
+              "disk_decomposition": {"sign": 1, "truncation": 2}}[move]
+    path = files("mv.json", {"move": move, "window": -1, **fields})
+    status, out = run(capsys, "moves", path)
+    assert status == 1
+    assert json.loads(out) == {"error": "WindowExhausted", "detail": "window -1 is empty"}
 
 
 @pytest.mark.parametrize("component", [7, -1])

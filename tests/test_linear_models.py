@@ -155,8 +155,13 @@ def test_quantization_requires_proper():
 
 
 def test_quantization_rejects_negative_window():
-    with pytest.raises(kq.WindowExhausted):
+    with pytest.raises(kq.WindowExhausted, match=r"^window -1 is empty$"):
         kq.formal_quantization(kq.linear_model([(1,)], (0,)), -1)
+    # the window is checked before properness
+    improper = kq.linear_model([(1,), (-1,)], (0,))
+    for window, exc in ((2.5, TypeError), (True, TypeError), (-1, kq.WindowExhausted)):
+        with pytest.raises(exc):
+            kq.formal_quantization(improper, window)
 
 
 def test_window_zero_is_window_one_restricted():

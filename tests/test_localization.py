@@ -131,6 +131,38 @@ def test_orbifold_outside_torus_rejected():
         kq.closed_index(comp, a1)
 
 
+def test_orbifold_points_over_type_a_are_refused_where_they_enter():
+    a1 = kq.build_root_datum("A", 1)
+    comp = kq.ClosedComponent("bad", (
+        kq.point((2,), (2,), order=2), kq.point((-2,), (-2,), order=2)))
+    msg = r"^orbifold averaging outside a torus lattice is not expressible$"
+    with pytest.raises(kq.OrbifoldAveragingUnsupported, match=msg):
+        kq.DiscreteKCycle(a1, ((1, comp),))
+    doc = {"datum": {"kind": "A", "rank": 1}, "components": [comp.to_dict()]}
+    with pytest.raises(kq.OrbifoldAveragingUnsupported, match=msg):
+        kq.DiscreteKCycle.from_dict(doc)
+    # a family member is refused where it is read
+    fam = kq.DiscreteKCycle(a1, (), lambda i: (1, comp), enumeration_bound=0)
+    with pytest.raises(kq.OrbifoldAveragingUnsupported, match=msg):
+        fam.materialized()
+    with pytest.raises(kq.OrbifoldAveragingUnsupported, match=msg):
+        kq.polarized_index(fam, (1,), 2)
+    # a torus datum averages them
+    assert kq.DiscreteKCycle(T1, ((1, comp),)).components == ((1, comp),)
+
+
+def test_polarized_index_checks_its_window_and_polarization():
+    k = kq.DiscreteKCycle(T1, ((1, kq.o_sphere(2)),))
+    for window in (2.5, True):
+        with pytest.raises(TypeError):
+            kq.polarized_index(k, (1,), window)
+    with pytest.raises(kq.WindowExhausted, match=r"^window -1 is empty$"):
+        kq.polarized_index(k, (1,), -1)
+    with pytest.raises(ValueError, match=r"^polarization rank 2 != datum rank 1$"):
+        kq.polarized_index(k, (1, 1), 3)
+    assert kq.polarized_index(k, (1,), 0).coeffs == {(0,): 1}
+
+
 def test_polarized_half_space_model():
     # single point expanding to the full geometric series 1/(1 - t)
     comp = kq.ClosedComponent("disk", (kq.point((0,), (-1,)),))

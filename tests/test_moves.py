@@ -31,6 +31,24 @@ def test_disjoint_union_rejects_mixed_data():
         kq.disjoint_union(a, b)
 
 
+def test_disjoint_union_of_two_families_keeps_the_first():
+    # the second family is materialized behind the first one's components
+    a, b = lazy_disk_family(bound=20), lazy_disk_family(shift=3, bound=2)
+    out, cert = kq.certify_disjoint_union(a, b, 4, (1,))
+    assert cert.verdict
+    assert cert.after.coeffs == {(0,): 1, (1,): 1, (2,): 1, (3,): 2, (4,): 2}
+    assert out.family is a.family and out.enumeration_bound == 20
+    assert [c.label for _, c in out.components] == [f"S2[F_{n}]" for n in (3, 4, 5)]
+
+
+def test_two_data_are_refused_by_every_move_that_combines_cycles():
+    a, b = one_component(kq.f_sphere(1)), one_component(axis_sphere(0, "f", 1), T2)
+    msg = r"^RootDatum\('torus', rank=1\) vs RootDatum\('torus', rank=2\)$"
+    for move in (kq.disjoint_union, kq.product_cycle, lambda a, b: kq.compare_cycles(a, b, 4)):
+        with pytest.raises(kq.DatumMismatch, match=msg):
+            move(a, b)
+
+
 def test_disk_decomposition_positive_series():
     out, cert = kq.certify_disk_decomposition(1, 20, 20)
     assert cert.verdict
@@ -57,6 +75,8 @@ def test_disk_decompositions_do_not_interfere():
 def test_disk_decomposition_rejects_bad_sign():
     with pytest.raises(ValueError):
         kq.disk_decomposition(2, 5)
+    with pytest.raises(ValueError, match=r"^truncation must be >= 0$"):
+        kq.disk_decomposition(1, -1)
 
 
 def test_glue_split_partial_sum_sphere():
@@ -106,6 +126,14 @@ def test_glue_split_rejects_unsupported_shapes():
         kq.point((0,), (1,)), kq.point((0,), (-2,))))
     with pytest.raises(kq.UnsupportedSplit):
         kq.glue_split(skew, [[0], [1]], T1)
+    for fiber in (WP([((0,), 1), ((1,), 1)]), WP.monomial((0,), 2)):
+        wide = kq.ClosedComponent("wide", (kq.point(fiber, (1,)), kq.point((1,), (-1,))))
+        with pytest.raises(kq.UnsupportedSplit, match=r"^fibers must be single monomials$"):
+            kq.glue_split(wide, [[0], [1]], T1)
+    orb = kq.ClosedComponent("orb", (
+        kq.point((0,), (1,), order=2), kq.point((0,), (-1,), order=2)))
+    with pytest.raises(kq.UnsupportedSplit, match=r"^orbifold points do not split$"):
+        kq.glue_split(orb, [[0], [1]], T1)
 
 
 def test_bundle_modification_preserves_index():
@@ -231,6 +259,22 @@ def test_product_commutes_for_finite_cycles():
         ab = kq.product_cycle(a, b)
         ba = kq.product_cycle(b, a)
         assert kq.closed_sum(ab) == kq.closed_sum(ba)
+
+
+def test_product_rejects_two_orbifold_points():
+    orb = one_component(kq.ClosedComponent("orb", (
+        kq.point((0,), (1,), order=2), kq.point((0,), (-1,), order=2))))
+    with pytest.raises(kq.OrbifoldAveragingUnsupported,
+                       match=r"^product of two orbifold points is not diagonal-cyclic$"):
+        kq.product_cycle(orb, orb)
+    assert len(kq.product_cycle(orb, one_component(kq.o_sphere(1))).components) == 1
+
+
+def test_product_with_an_empty_second_factor_is_empty():
+    empty = kq.DiscreteKCycle(T1, ())
+    for a in (one_component(kq.o_sphere(1)), lazy_disk_family()):
+        out = kq.product_cycle(a, empty)
+        assert (out.datum, out.components, out.family, out.enumeration_bound) == (T1, (), None, None)
 
 
 def test_product_rejects_infinite_second_factor():

@@ -77,6 +77,22 @@ def test_weyl_dimension():
         kq.weyl_dimension(A2, (-1, 0))
 
 
+def test_every_dominance_check_is_the_datum_s_one_checker():
+    # a highest weight, a character key and an orbit's gamma are checked by
+    # RootDatum.check_dominant: one length check, then one NotDominant message
+    routes = (lambda w: kq.weyl_character(A2, w), lambda w: kq.weyl_dimension(A2, w),
+              lambda w: kq.Character(A2, {w: 1}), lambda w: kq.FormalCharacter(A2, 3, {w: 1}),
+              lambda w: kq.orbit_cycle(A2, w))
+    for route in routes:
+        with pytest.raises(kq.NotDominant,
+                           match=r"^\(-1, 1\) is not dominant for RootDatum\('A', rank=2\)$"):
+            route((-1, 1))
+        with pytest.raises(ValueError, match=r"^weight \(1,\) has length 1, datum rank is 2$"):
+            route((1,))
+    assert A2.check_dominant([0, 2]) == (0, 2)
+    assert T2.check_dominant((-3, 1)) == (-3, 1)
+
+
 def test_inner_product_symmetry_and_positivity():
     vals = [(1, 0), (0, 1), (2, -1), (-1, 2), (1, 1)]
     for v in vals:
